@@ -1,6 +1,8 @@
 #include "common.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -18,29 +20,58 @@ unsigned BenchArgs::trace_categories() const {
   return trace_cells ? trace::kAll : trace::kDefault;
 }
 
+namespace {
+
+/// Whole-string decimal parse: "12" or "0.05", but not "", "12abc",
+/// "banana" or a non-finite double.
+template <typename T>
+std::optional<T> parse_number(const std::string& s) {
+  T value{};
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s (see --help)\n", message.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   args.start_wall_us = sim::wall_now_us();
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     auto next = [&]() -> std::string {
-      return i + 1 < argc ? argv[++i] : "";
+      if (i + 1 >= argc) usage_error(a + " needs a value");
+      return argv[++i];
+    };
+    auto number = [&]<typename T>(T& field) {
+      std::string value = next();
+      std::optional<T> parsed = parse_number<T>(value);
+      if (!parsed) usage_error(a + ": malformed number '" + value + "'");
+      field = *parsed;
     };
     if (a == "--seed") {
-      args.seed = std::strtoull(next().c_str(), nullptr, 10);
+      number(args.seed);
     } else if (a == "--scale") {
-      args.scale = std::strtod(next().c_str(), nullptr);
+      number(args.scale);
     } else if (a == "--out") {
       args.out_dir = next();
     } else if (a == "--faults") {
       args.faults = next();
     } else if (a == "--retries") {
-      args.retries = static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      number(args.retries);
     } else if (a == "--jobs" || a == "-j") {
-      args.jobs = static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      number(args.jobs);
     } else if (a == "--repeats") {
-      args.repeats =
-          static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      number(args.repeats);
     } else if (a == "--trace") {
       args.trace_out = next();
     } else if (a == "--trace-cells") {
@@ -48,16 +79,15 @@ BenchArgs parse_args(int argc, char** argv) {
     } else if (a == "--checkpoint") {
       args.checkpoint_dir = next();
     } else if (a == "--checkpoint-every") {
-      args.checkpoint_every =
-          static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      number(args.checkpoint_every);
     } else if (a == "--resume") {
       args.resume = true;
     } else if (a == "--monitor") {
       args.monitor = true;
     } else if (a == "--interval-hours") {
-      args.interval_hours = std::strtod(next().c_str(), nullptr);
+      number(args.interval_hours);
     } else if (a == "--windows") {
-      args.windows = static_cast<int>(std::strtol(next().c_str(), nullptr, 10));
+      number(args.windows);
     } else if (a == "--verbose" || a == "-v") {
       args.verbose = true;
     } else if (a == "--help" || a == "-h") {
@@ -86,6 +116,8 @@ BenchArgs parse_args(int argc, char** argv) {
           "         --windows N (monitor windows to run; a resumed run\n"
           "                   may raise this to extend the series)\n");
       std::exit(0);
+    } else {
+      usage_error("unknown flag " + a);
     }
   }
   if (args.scale <= 0) args.scale = 1.0;
@@ -138,10 +170,8 @@ ShardedCampaignConfig sharded_config(const BenchArgs& args) {
   return cfg;
 }
 
-namespace {
-
-void write_traces(const std::vector<trace::ShardTrace>& traces,
-                  const BenchArgs& args) {
+void emit_trace(const std::vector<trace::ShardTrace>& traces,
+                const BenchArgs& args) {
   if (args.trace_out.empty()) return;
   if (!trace::write_trace_file(args.trace_out, traces)) {
     std::fprintf(stderr, "warning: could not write %s\n",
@@ -151,25 +181,8 @@ void write_traces(const std::vector<trace::ShardTrace>& traces,
   }
 }
 
-}  // namespace
-
-void emit_trace(const ShardedCampaign& engine, const BenchArgs& args) {
-  write_traces(engine.traces(), args);
-}
-
 void emit_trace(const EnsembleCampaign& engine, const BenchArgs& args) {
-  write_traces(engine.traces(), args);
-}
-
-EnsembleCampaignConfig ensemble_config(const BenchArgs& args) {
-  if (!args.checkpoint_dir.empty()) {
-    std::fprintf(stderr, "error: this bench does not support --checkpoint\n");
-    std::exit(2);
-  }
-  EnsembleCampaignConfig cfg;
-  cfg.base = sharded_config(args);
-  cfg.repeats = args.repeats;
-  return cfg;
+  emit_trace(engine.traces(), args);
 }
 
 checkpoint::Fingerprint run_fingerprint(const BenchArgs& args,

@@ -1,6 +1,7 @@
 // Shared plumbing for the figure/table reproduction binaries: CLI args
-// (--seed, --scale, --sites, --reps, --jobs, --out), stack creation, and
-// the table renderers every bench uses. Each bench prints the paper's rows
+// (--seed, --scale, --jobs, --repeats, --out, ...; an unknown flag or a
+// malformed number exits 2), the campaign configs, and the table
+// renderers every bench uses. Each bench prints the paper's rows
 // to stdout and mirrors them to CSV files under --out (default: cwd).
 // Campaign-driven benches run on the sharded engine (ptperf/parallel.h):
 // --jobs N spreads shards over N threads with byte-identical output.
@@ -101,16 +102,13 @@ ShardedCampaignConfig sharded_config(const BenchArgs& args);
 /// The ensemble-aware campaign entry point every figure goes through
 /// (simlint's ensemble-bypass rule bans direct ShardedCampaign
 /// construction in bench/ outside this harness): sharded_config(args) as
-/// the base world recipe plus --repeats. Figures tweak `.base` exactly as
-/// they used to tweak the sharded config.
-EnsembleCampaignConfig ensemble_config(const BenchArgs& args);
-
-/// The checkpoint-aware entry point: same config, with the snapshot store
-/// for `figure` attached when --checkpoint was given (nullptr otherwise).
-/// Building the store validates any resumed snapshot against
-/// run_fingerprint(args, figure); a mismatch prints the offending field
-/// and exits 2. The legacy overload above instead rejects --checkpoint —
-/// a bench either declares its figure id or has no checkpoint support.
+/// the base world recipe plus --repeats, with the snapshot store for
+/// `figure` attached when --checkpoint was given (nullptr otherwise).
+/// Figures tweak `.base` exactly as they used to tweak the sharded config;
+/// a figure that runs several campaigns copies one config into each
+/// engine, so they all append to the one store. Building the store
+/// validates any resumed snapshot against run_fingerprint(args, figure);
+/// a mismatch prints the offending field and exits 2.
 EnsembleCampaignConfig ensemble_config(const BenchArgs& args,
                                        const std::string& figure);
 
@@ -136,10 +134,12 @@ void print_shard_timings(const std::vector<ShardTiming>& timings,
 
 /// Writes the campaign's flight-recorder capture to args.trace_out (no-op
 /// when --trace was not given). The file is a pure function of (seed,
-/// plan): byte-identical at any --jobs. The ensemble overload writes
-/// repetition 0's capture — --repeats never changes the trace.
-void emit_trace(const ShardedCampaign& engine, const BenchArgs& args);
+/// plan): byte-identical at any --jobs. An engine's capture is its
+/// repetition 0 — --repeats never changes the trace. A figure that runs
+/// one campaign per cell passes the captures of all its engines.
 void emit_trace(const EnsembleCampaign& engine, const BenchArgs& args);
+void emit_trace(const std::vector<trace::ShardTrace>& traces,
+                const BenchArgs& args);
 
 /// One labelled estimator measured once per repetition (e.g. a PT's mean
 /// access time in each of the N independently seeded worlds).
@@ -200,6 +200,17 @@ void emit_ensemble(const std::vector<EnsembleSeries>& series,
                    const BenchArgs& args, const std::string& name,
                    const std::string& metric, EnsembleUnit unit,
                    const std::string& baseline = "");
+
+/// The samples measured over one plan label (pt_label(): "tor" or a PT
+/// name), in merge order.
+template <typename Sample>
+std::vector<Sample> samples_of(const std::vector<Sample>& samples,
+                               const std::string& label) {
+  std::vector<Sample> out;
+  for (const Sample& s : samples)
+    if (s.pt == label) out.push_back(s);
+  return out;
+}
 
 /// "Tukey row" for one distribution.
 std::vector<std::string> box_row(const std::string& label,

@@ -7,10 +7,74 @@
 // Expected shape (paper): fully-encrypted and proxy-layer PTs cluster near
 // vanilla Tor (~2.3 s); dnstt and meek are 2x+ slower; camoufler ~5x;
 // marionette is the worst by far (~9x).
+//
+// Table 10 is derived from the same samples, as in the paper: paired
+// t-tests between PT *categories* over per-site access times. Expected
+// ordering: fully-encrypted fastest, then proxy-layer, then tunneling ~
+// mimicry; e.g. fully-encrypted beats tunneling by ~4.9 s and mimicry by
+// ~5.2 s mean difference.
+#include "pt/transport.h"
+
 #include "common.h"
 
 namespace ptperf::bench {
 namespace {
+
+/// Plan label -> Table 10 category, read from each transport's
+/// TransportInfo: one probe world on the main thread builds every stack
+/// once and measures nothing.
+std::map<std::string, std::string> pt_categories(const ScenarioConfig& cfg) {
+  Scenario probe(cfg);
+  TransportFactory factory(probe);
+  std::map<std::string, std::string> out{{"tor", "Tor"}};
+  for (PtId id : figure_pt_order()) {
+    PtStack stack = factory.create(id);
+    out[stack.name()] = std::string(pt::category_name(stack.info->category));
+  }
+  return out;
+}
+
+/// Table 10: a site's category value is the mean of the successful
+/// accesses over that category's PTs; categories are paired by site, over
+/// the sites every category covers.
+void emit_table10(const std::vector<WebsiteSample>& samples,
+                  const std::map<std::string, std::string>& category_of,
+                  const BenchArgs& args) {
+  // site -> category -> (sum, count)
+  std::map<std::string, std::map<std::string, std::pair<double, int>>> acc;
+  for (const WebsiteSample& s : samples) {
+    if (!s.result.success) continue;
+    auto& slot = acc[s.site][category_of.at(s.pt)];
+    slot.first += s.result.elapsed();
+    slot.second += 1;
+  }
+
+  std::vector<std::pair<std::string, std::vector<double>>> groups;
+  for (const char* c :
+       {"fully-encrypted", "proxy-layer", "tunneling", "mimicry", "Tor"})
+    groups.emplace_back(c, std::vector<double>{});
+  for (auto& [site, by_cat] : acc) {
+    bool complete = true;
+    for (const auto& [c, xs] : groups)
+      if (!by_cat.count(c)) complete = false;
+    if (!complete) continue;
+    for (auto& [c, xs] : groups) {
+      auto& slot = by_cat[c];
+      xs.push_back(slot.first / slot.second);
+    }
+  }
+
+  std::printf("-- Table 10: category means (s) --\n");
+  stats::Table means({"category", "n_sites", "mean_s"});
+  for (auto& [c, xs] : groups) {
+    means.add_row({c, std::to_string(xs.size()),
+                   util::fmt_double(stats::mean(xs), 2)});
+  }
+  emit(means, args, "table10_means");
+
+  std::printf("-- Table 10: category pair t-tests --\n");
+  emit(pairwise_t_tests(groups), args, "table10_ttests");
+}
 
 int run(const BenchArgs& args) {
   banner("Figure 2a / Tables 3-4",
@@ -32,11 +96,8 @@ int run(const BenchArgs& args) {
   // Samples arrive merged in plan order: group back by PT, preserving the
   // sweep order for the tables.
   for (const auto& pt : sweep_pts()) {
-    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
-    std::vector<WebsiteSample> mine;
-    for (const WebsiteSample& s : samples)
-      if (s.pt == name) mine.push_back(s);
-    std::vector<double> means = per_site_means(mine);
+    std::string name = pt_label(pt);
+    std::vector<double> means = per_site_means(samples_of(samples, name));
     boxes.add_row(box_row(name, means));
     per_site.emplace_back(name, std::move(means));
   }
@@ -50,6 +111,8 @@ int run(const BenchArgs& args) {
   std::printf("(%zu PT pairs; full table in fig2a_ttests.csv)\n",
               tests.rows());
 
+  emit_table10(samples, pt_categories(cfg.scenario), args);
+
   // Cross-repetition distribution of each PT's mean access time, with
   // PT-vs-vanilla paired differences over the ensemble.
   emit_ensemble(ensemble_series<WebsiteSample>(
@@ -57,12 +120,9 @@ int run(const BenchArgs& args) {
                     [](const std::vector<WebsiteSample>& rep) {
                       std::vector<std::pair<std::string, double>> out;
                       for (const auto& pt : sweep_pts()) {
-                        std::string name =
-                            pt ? std::string(pt_id_name(*pt)) : "tor";
-                        std::vector<WebsiteSample> mine;
-                        for (const WebsiteSample& s : rep)
-                          if (s.pt == name) mine.push_back(s);
-                        std::vector<double> means = per_site_means(mine);
+                        std::string name = pt_label(pt);
+                        std::vector<double> means =
+                            per_site_means(samples_of(rep, name));
                         if (!means.empty())
                           out.emplace_back(name, stats::mean(means));
                       }

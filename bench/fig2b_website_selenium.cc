@@ -7,6 +7,12 @@
 //   * snowflake is much slower than in Fig 2a because the selenium runs
 //     happened during the post-September-2022 user surge (§5.3);
 //   * camoufler is absent (no parallel-stream support).
+//
+// Figure 11 + Appendix Tables 8/9 (the browsertime speed index) come from
+// the same page loads, restricted to the Tranco sites as in the paper.
+// Expected: the ordering matches the page load times (meek worst
+// proxy-layer, marionette worst mimicry), while the speed index sits well
+// below the full load time because it weighs early-painting elements.
 #include "population/contention.h"
 
 #include "common.h"
@@ -36,11 +42,13 @@ int run(const BenchArgs& args) {
 
   stats::Table boxes(box_header());
   std::vector<std::pair<std::string, std::vector<double>>> groups;
+  stats::Table si_boxes(box_header());
+  stats::Table si_vs_load({"pt", "mean_speed_index_s", "mean_load_s",
+                           "ratio"});
+  std::vector<std::pair<std::string, std::vector<double>>> si_groups;
   for (const auto& pt : sweep_pts()) {
-    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
-    std::vector<PageSample> mine;
-    for (const PageSample& s : samples)
-      if (s.pt == name) mine.push_back(s);
+    std::string name = pt_label(pt);
+    std::vector<PageSample> mine = samples_of(samples, name);
     if (mine.empty()) {
       std::printf("%-12s excluded (no parallel-stream support)\n",
                   name.c_str());
@@ -49,6 +57,23 @@ int run(const BenchArgs& args) {
     std::vector<double> loads = load_seconds(mine);
     boxes.add_row(box_row(name, loads));
     groups.emplace_back(name, std::move(loads));
+
+    // Figure 11: the successful loads of Tranco sites.
+    std::vector<double> si, si_loads;
+    for (const PageSample& s : mine) {
+      if (!s.site.ends_with(".tranco") || !s.result.success ||
+          s.speed_index_s < 0)
+        continue;
+      si.push_back(s.speed_index_s);
+      si_loads.push_back(s.result.load_time_s);
+    }
+    si_boxes.add_row(box_row(name, si));
+    double msi = stats::mean(si);
+    double ml = stats::mean(si_loads);
+    si_vs_load.add_row({name, util::fmt_double(msi, 2),
+                        util::fmt_double(ml, 2),
+                        ml > 0 ? util::fmt_double(msi / ml, 2) : "-"});
+    si_groups.emplace_back(name, std::move(si));
   }
 
   std::printf("\n-- Figure 2b: page load time (s) --\n");
@@ -78,18 +103,28 @@ int run(const BenchArgs& args) {
       }
     }
   }
+
+  std::printf("\n-- Figure 11: speed index, Tranco sites (s) --\n");
+  emit(si_boxes, args, "fig11_speed_index");
+
+  std::printf("-- speed index vs full load (ratio < 1 everywhere) --\n");
+  emit(si_vs_load, args, "fig11_vs_load");
+
+  std::printf("-- Tables 8/9: paired t-tests over speed index --\n");
+  stats::Table si_tests = pairwise_t_tests(si_groups);
+  emit(si_tests, args, "fig11_ttests", args.verbose);
+  std::printf("(%zu pairs; full table in fig11_ttests.csv)\n",
+              si_tests.rows());
+
   // Cross-repetition distribution of each PT's mean page-load time.
   emit_ensemble(ensemble_series<PageSample>(
                     runs,
                     [](const std::vector<PageSample>& rep) {
                       std::vector<std::pair<std::string, double>> out;
                       for (const auto& pt : sweep_pts()) {
-                        std::string name =
-                            pt ? std::string(pt_id_name(*pt)) : "tor";
-                        std::vector<PageSample> mine;
-                        for (const PageSample& s : rep)
-                          if (s.pt == name) mine.push_back(s);
-                        std::vector<double> loads = load_seconds(mine);
+                        std::string name = pt_label(pt);
+                        std::vector<double> loads =
+                            load_seconds(samples_of(rep, name));
                         if (!loads.empty())
                           out.emplace_back(name, stats::mean(loads));
                       }

@@ -24,11 +24,8 @@ int run(const BenchArgs& args) {
 
   std::vector<std::pair<std::string, std::vector<double>>> groups;
   for (const auto& pt : sweep_pts()) {
-    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
-    std::vector<WebsiteSample> mine;
-    for (const WebsiteSample& s : samples)
-      if (s.pt == name) mine.push_back(s);
-    groups.emplace_back(name, ttfb_seconds(mine));
+    std::string name = pt_label(pt);
+    groups.emplace_back(name, ttfb_seconds(samples_of(samples, name)));
   }
 
   std::printf("-- Figure 6: P[TTFB <= t] --\n");
@@ -50,12 +47,9 @@ int run(const BenchArgs& args) {
                     [](const std::vector<WebsiteSample>& rep) {
                       std::vector<std::pair<std::string, double>> out;
                       for (const auto& pt : sweep_pts()) {
-                        std::string name =
-                            pt ? std::string(pt_id_name(*pt)) : "tor";
-                        std::vector<WebsiteSample> mine;
-                        for (const WebsiteSample& s : rep)
-                          if (s.pt == name) mine.push_back(s);
-                        std::vector<double> ttfbs = ttfb_seconds(mine);
+                        std::string name = pt_label(pt);
+                        std::vector<double> ttfbs =
+                            ttfb_seconds(samples_of(rep, name));
                         if (!ttfbs.empty())
                           out.emplace_back(name, stats::median(ttfbs));
                       }

@@ -4,6 +4,10 @@
 // *trend* (snowflake and obfs4 beating meek) holds everywhere, and
 // Bangalore clients are uniformly slower because relays cluster in
 // Europe/North America.
+//
+// Runs on the sharded engine: one ensemble campaign per client x server
+// cell (one world per PT), all nine on one config, so --jobs, --repeats
+// and --checkpoint cover every cell.
 #include "common.h"
 
 namespace ptperf::bench {
@@ -21,46 +25,64 @@ int run(const BenchArgs& args) {
       {"SGP", net::Region::kSingapore},
       {"FRA", net::Region::kFrankfurt},
       {"NYC", net::Region::kNewYork}};
-  const std::vector<PtId> pts = {PtId::kMeek, PtId::kSnowflake, PtId::kObfs4};
+  const std::vector<std::optional<PtId>> pts = {PtId::kMeek, PtId::kSnowflake,
+                                                PtId::kObfs4};
+
+  EnsembleCampaignConfig ecfg = ensemble_config(args, "fig7");
+  ecfg.base.scenario.tranco_sites = scaled(10, args.scale, 4);
+  ecfg.base.scenario.cbl_sites = 0;
+  ecfg.base.campaign.website_reps = 2;
+  SiteSelection sites{ecfg.base.scenario.tranco_sites, 0};
 
   stats::Table table({"client", "server", "pt", "n", "mean_s", "median_s"});
   // client -> pt -> pooled times (for the per-client summary).
   std::map<std::string, std::map<std::string, std::vector<double>>> pooled;
+  std::vector<EnsembleSeries> series;
+  std::vector<ShardTiming> timings;
+  std::vector<trace::ShardTrace> traces;
 
   for (const auto& [cname, cregion] : clients) {
     for (const auto& [sname, sregion] : servers) {
-      ScenarioConfig cfg;
-      cfg.seed = args.seed;
-      cfg.client_region = cregion;
-      cfg.web_region = sregion;
-      cfg.tranco_sites = scaled(10, args.scale, 4);
-      cfg.cbl_sites = 0;
-      Scenario scenario(cfg);
-      TransportFactory factory(scenario);
-      CampaignOptions copts;
-      copts.website_reps = 2;
-      Campaign campaign(scenario, copts);
-      auto sites = Campaign::take_sites(scenario.tranco(), cfg.tranco_sites);
+      EnsembleCampaignConfig cell = ecfg;
+      cell.base.scenario.client_region = cregion;
+      cell.base.scenario.web_region = sregion;
+      EnsembleCampaign engine(cell);
+      auto runs = engine.run_website_curl(pts, sites);
+      std::string where = cname + "-" + sname;
 
-      for (PtId id : pts) {
-        PtStack stack = factory.create(id);
-        auto samples = campaign.run_website_curl(stack, sites);
-        auto times = elapsed_seconds(samples);
-        table.add_row({cname, sname, stack.name(),
-                       std::to_string(times.size()),
+      for (const auto& pt : pts) {
+        std::string name = pt_label(pt);
+        auto times = elapsed_seconds(samples_of(runs.first(), name));
+        table.add_row({cname, sname, name, std::to_string(times.size()),
                        util::fmt_double(stats::mean(times), 2),
                        times.empty()
                            ? "-"
                            : util::fmt_double(stats::median(times), 2)});
-        auto& pool = pooled[cname][stack.name()];
+        auto& pool = pooled[cname][name];
         pool.insert(pool.end(), times.begin(), times.end());
       }
-      std::printf("  %s -> %s done\n", cname.c_str(), sname.c_str());
-      std::fflush(stdout);
+
+      // Cross-repetition distribution of each PT's mean access time.
+      auto cell_series = ensemble_series<WebsiteSample>(
+          runs, [&](const std::vector<WebsiteSample>& rep) {
+            std::vector<std::pair<std::string, double>> out;
+            for (const auto& pt : pts) {
+              std::string name = pt_label(pt);
+              auto times = elapsed_seconds(samples_of(rep, name));
+              if (!times.empty())
+                out.emplace_back(where + "/" + name, stats::mean(times));
+            }
+            return out;
+          });
+      series.insert(series.end(), cell_series.begin(), cell_series.end());
+      timings.insert(timings.end(), engine.timings().begin(),
+                     engine.timings().end());
+      for (const trace::ShardTrace& t : engine.traces())
+        traces.push_back({traces.size(), where + "/" + t.pt, t.data});
     }
   }
 
-  std::printf("\n-- Figure 7: access time by location (s) --\n");
+  std::printf("-- Figure 7: access time by location (s) --\n");
   emit(table, args, "fig7_location");
 
   std::printf("-- per-client summary (pooled over servers) --\n");
@@ -74,6 +96,11 @@ int run(const BenchArgs& args) {
   std::printf(
       "(paper: trend snowflake/obfs4 < meek at every location; Bangalore\n"
       " slower than London/Toronto because relays sit in EU/NA)\n");
+
+  emit_ensemble(series, args, "fig7_ensemble", "mean_access_time",
+                EnsembleUnit::kSeconds);
+  emit_trace(traces, args);
+  print_shard_timings(timings, args);
   return 0;
 }
 

@@ -73,13 +73,12 @@ int run(const BenchArgs& args) {
       inject ? kNoPlain : plain_runs.first();
 
   for (const auto& pt : sweep_pts()) {
-    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
+    std::string name = pt_label(pt);
     int complete = 0, partial = 0, failed = 0;
     std::size_t n_samples = 0;
     std::vector<double> fractions;
     if (inject) {
-      for (const ReliabilitySample& s : reliability) {
-        if (s.pt != name) continue;
+      for (const ReliabilitySample& s : samples_of(reliability, name)) {
         switch (s.outcome) {
           case DownloadOutcome::kComplete: ++complete; break;
           case DownloadOutcome::kPartial: ++partial; break;
@@ -89,8 +88,7 @@ int run(const BenchArgs& args) {
         ++n_samples;
       }
     } else {
-      for (const FileSample& s : plain) {
-        if (s.pt != name) continue;
+      for (const FileSample& s : samples_of(plain, name)) {
         switch (classify(s.result)) {
           case DownloadOutcome::kComplete: ++complete; break;
           case DownloadOutcome::kPartial: ++partial; break;
@@ -133,10 +131,9 @@ int run(const BenchArgs& args) {
             [](const std::vector<ReliabilitySample>& rep) {
               std::vector<std::pair<std::string, double>> out;
               for (const auto& pt : sweep_pts()) {
-                std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
+                std::string name = pt_label(pt);
                 int complete = 0, total = 0;
-                for (const ReliabilitySample& s : rep) {
-                  if (s.pt != name) continue;
+                for (const ReliabilitySample& s : samples_of(rep, name)) {
                   if (s.outcome == DownloadOutcome::kComplete) ++complete;
                   ++total;
                 }
@@ -154,10 +151,9 @@ int run(const BenchArgs& args) {
             [](const std::vector<FileSample>& rep) {
               std::vector<std::pair<std::string, double>> out;
               for (const auto& pt : sweep_pts()) {
-                std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
+                std::string name = pt_label(pt);
                 int complete = 0, total = 0;
-                for (const FileSample& s : rep) {
-                  if (s.pt != name) continue;
+                for (const FileSample& s : samples_of(rep, name)) {
                   if (classify(s.result) == DownloadOutcome::kComplete)
                     ++complete;
                   ++total;

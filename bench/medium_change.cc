@@ -3,6 +3,10 @@
 // higher times on WiFi but NO change in the PT ordering (the paper saw
 // meek ~16.4 s and dnstt/cloak/obfs4 at 5.1/3.9/3.7 s over wireless,
 // preserving the wired trend).
+//
+// Runs on the sharded engine: one ensemble campaign per medium (one world
+// per PT), both on one config, so --jobs, --repeats and --checkpoint
+// cover both media.
 #include "common.h"
 
 namespace ptperf::bench {
@@ -11,44 +15,59 @@ namespace {
 int run(const BenchArgs& args) {
   banner("§4.7 (medium change)", "wired vs wireless client access", args);
 
-  const std::vector<PtId> pts = {PtId::kObfs4, PtId::kCloak, PtId::kDnstt,
-                                 PtId::kMeek};
+  const std::vector<std::optional<PtId>> pts = {
+      std::nullopt, PtId::kObfs4, PtId::kCloak, PtId::kDnstt, PtId::kMeek};
+
+  EnsembleCampaignConfig ecfg = ensemble_config(args, "medium_change");
+  ecfg.base.scenario.tranco_sites = scaled(8, args.scale, 4);
+  ecfg.base.scenario.cbl_sites = scaled(8, args.scale, 4);
+  ecfg.base.campaign.website_reps = 2;
+  SiteSelection sites{ecfg.base.scenario.tranco_sites,
+                      ecfg.base.scenario.cbl_sites};
 
   stats::Table table({"medium", "pt", "n", "mean_s", "median_s"});
   std::map<std::string, std::vector<std::pair<std::string, double>>> order;
+  std::vector<EnsembleSeries> series;
+  std::vector<ShardTiming> timings;
+  std::vector<trace::ShardTrace> traces;
 
   for (bool wireless : {false, true}) {
-    ScenarioConfig cfg;
-    cfg.seed = args.seed;
-    cfg.wireless_client = wireless;
-    cfg.tranco_sites = scaled(8, args.scale, 4);
-    cfg.cbl_sites = scaled(8, args.scale, 4);
-    Scenario scenario(cfg);
-    TransportFactory factory(scenario);
-    CampaignOptions copts;
-    copts.website_reps = 2;
-    Campaign campaign(scenario, copts);
-    auto sites = Campaign::merge(
-        Campaign::take_sites(scenario.tranco(), cfg.tranco_sites),
-        Campaign::take_sites(scenario.cbl(), cfg.cbl_sites));
-
+    EnsembleCampaignConfig cfg = ecfg;
+    cfg.base.scenario.wireless_client = wireless;
+    EnsembleCampaign engine(cfg);
+    auto runs = engine.run_website_curl(pts, sites);
     std::string medium = wireless ? "wifi" : "wired";
-    auto measure = [&](PtStack stack) {
-      auto samples = campaign.run_website_curl(stack, sites);
-      auto times = elapsed_seconds(samples);
-      table.add_row({medium, stack.name(), std::to_string(times.size()),
+
+    for (const auto& pt : pts) {
+      std::string name = pt_label(pt);
+      auto times = elapsed_seconds(samples_of(runs.first(), name));
+      table.add_row({medium, name, std::to_string(times.size()),
                      util::fmt_double(stats::mean(times), 2),
                      times.empty() ? "-"
                                    : util::fmt_double(stats::median(times), 2)});
-      order[medium].emplace_back(stack.name(), stats::mean(times));
-    };
-    measure(factory.create_vanilla());
-    for (PtId id : pts) measure(factory.create(id));
-    std::printf("  %s done\n", medium.c_str());
-    std::fflush(stdout);
+      order[medium].emplace_back(name, stats::mean(times));
+    }
+
+    // Cross-repetition distribution of each PT's mean access time.
+    auto medium_series = ensemble_series<WebsiteSample>(
+        runs, [&](const std::vector<WebsiteSample>& rep) {
+          std::vector<std::pair<std::string, double>> out;
+          for (const auto& pt : pts) {
+            std::string name = pt_label(pt);
+            auto times = elapsed_seconds(samples_of(rep, name));
+            if (!times.empty())
+              out.emplace_back(medium + "/" + name, stats::mean(times));
+          }
+          return out;
+        });
+    series.insert(series.end(), medium_series.begin(), medium_series.end());
+    timings.insert(timings.end(), engine.timings().begin(),
+                   engine.timings().end());
+    for (const trace::ShardTrace& t : engine.traces())
+      traces.push_back({traces.size(), medium + "/" + t.pt, t.data});
   }
 
-  std::printf("\n-- §4.7: access time by medium (s) --\n");
+  std::printf("-- §4.7: access time by medium (s) --\n");
   emit(table, args, "medium_change");
 
   // Trend check: the ranking of PT means must be identical across media.
@@ -65,6 +84,11 @@ int run(const BenchArgs& args) {
   std::printf("wifi  order: %s\n", wifi_rank.c_str());
   std::printf("trend preserved: %s (paper: yes)\n",
               wired_rank == wifi_rank ? "yes" : "mostly (see table)");
+
+  emit_ensemble(series, args, "medium_change_ensemble", "mean_access_time",
+                EnsembleUnit::kSeconds);
+  emit_trace(traces, args);
+  print_shard_timings(timings, args);
   return 0;
 }
 

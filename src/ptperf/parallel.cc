@@ -26,7 +26,7 @@ ShardPlan ShardPlan::build(std::uint64_t base_seed,
   ShardPlan plan;
   std::size_t chunk = items_per_shard == 0 ? item_count : items_per_shard;
   for (const std::optional<PtId>& pt : pts) {
-    std::string name = pt ? std::string(pt_id_name(*pt)) : "tor";
+    std::string name = pt_label(pt);
     std::size_t chunk_index = 0;
     std::size_t begin = 0;
     do {
@@ -96,6 +96,10 @@ std::vector<std::optional<PtId>> ShardedCampaign::with_vanilla(
   out.emplace_back(std::nullopt);
   for (PtId id : pts) out.emplace_back(id);
   return out;
+}
+
+std::string pt_label(const std::optional<PtId>& pt) {
+  return pt ? std::string(pt_id_name(*pt)) : "tor";
 }
 
 std::uint64_t ShardedCampaign::total_injected_faults() const {

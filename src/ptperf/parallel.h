@@ -235,4 +235,8 @@ class ShardedCampaign {
       fault_counts_{};
 };
 
+/// Plan label of one with_vanilla() entry: "tor" for vanilla, else the
+/// PT's name. Every sample's `pt` field and ShardSpec::pt_name carry it.
+std::string pt_label(const std::optional<PtId>& pt);
+
 }  // namespace ptperf

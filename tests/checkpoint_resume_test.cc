@@ -280,29 +280,41 @@ std::string read_csv_no_comments(const std::string& path) {
 }
 
 constexpr const char* kFig5 = "bench_fig5_file_download";
-constexpr const char* kFig5Flags = "--scale 0.05 --seed 1 --jobs 2";
+constexpr const char* kGoldenFlags = "--scale 0.05 --seed 1 --jobs 2";
 
-TEST(CheckpointBench, CheckpointedRunMatchesPlainRunByteForByte) {
-  TempDir plain, checked, snap;
-  ASSERT_EQ(run_bench(kFig5, std::string(kFig5Flags) + " --out '" +
-                                plain.path() + "'"),
+/// Plain run vs --checkpoint run vs --resume from the completed snapshot
+/// left in `snap`: all three must emit `csv` byte-for-byte identically.
+void expect_checkpoint_transparent(const char* bench, const char* csv,
+                                   const std::string& snap) {
+  TempDir plain, checked, resumed;
+  ASSERT_EQ(run_bench(bench, std::string(kGoldenFlags) + " --out '" +
+                                 plain.path() + "'"),
             0);
-  ASSERT_EQ(run_bench(kFig5, std::string(kFig5Flags) + " --checkpoint '" +
-                                snap.path() + "' --out '" + checked.path() +
-                                "'"),
+  ASSERT_EQ(run_bench(bench, std::string(kGoldenFlags) + " --checkpoint '" +
+                                 snap + "' --out '" + checked.path() + "'"),
             0);
-  EXPECT_EQ(read_csv_no_comments(plain.path() + "/fig5_times.csv"),
-            read_csv_no_comments(checked.path() + "/fig5_times.csv"));
+  std::string expected = read_csv_no_comments(plain.path() + "/" + csv);
+  ASSERT_FALSE(expected.empty()) << bench << " wrote an empty " << csv;
+  EXPECT_EQ(expected, read_csv_no_comments(checked.path() + "/" + csv));
 
   // The snapshot now holds every unit: a --resume run replays everything
   // from it and must emit identical bytes again.
-  TempDir resumed;
-  ASSERT_EQ(run_bench(kFig5, std::string(kFig5Flags) + " --checkpoint '" +
-                                snap.path() + "' --resume --out '" +
-                                resumed.path() + "'"),
+  ASSERT_EQ(run_bench(bench, std::string(kGoldenFlags) + " --checkpoint '" +
+                                 snap + "' --resume --out '" +
+                                 resumed.path() + "'"),
             0);
-  EXPECT_EQ(read_csv_no_comments(plain.path() + "/fig5_times.csv"),
-            read_csv_no_comments(resumed.path() + "/fig5_times.csv"));
+  EXPECT_EQ(expected, read_csv_no_comments(resumed.path() + "/" + csv));
+}
+
+TEST(CheckpointBench, CheckpointedRunMatchesPlainRunByteForByte) {
+  // fig7 runs nine client x server campaigns that all append to one store;
+  // the campaign cursor must replay each cell's shards into its own slots.
+  TempDir fig7_snap;
+  expect_checkpoint_transparent("bench_fig7_location", "fig7_location.csv",
+                                fig7_snap.path());
+
+  TempDir snap;
+  expect_checkpoint_transparent(kFig5, "fig5_times.csv", snap.path());
 
   // Fingerprint refusals against the same snapshot: wrong seed, wrong
   // scale, wrong repeats all exit 2.
@@ -324,19 +336,26 @@ TEST(CheckpointBench, CheckpointedRunMatchesPlainRunByteForByte) {
 TEST(CheckpointBench, FlagMisuseExitsTwo) {
   TempDir out, snap;
   // --resume without --checkpoint.
-  EXPECT_EQ(run_bench(kFig5, std::string(kFig5Flags) + " --resume --out '" +
+  EXPECT_EQ(run_bench(kFig5, std::string(kGoldenFlags) + " --resume --out '" +
                                 out.path() + "'"),
             2);
   // --checkpoint with --trace (a resumed shard has no capture to replay).
-  EXPECT_EQ(run_bench(kFig5, std::string(kFig5Flags) + " --checkpoint '" +
+  EXPECT_EQ(run_bench(kFig5, std::string(kGoldenFlags) + " --checkpoint '" +
                                 snap.path() + "' --trace '" + out.path() +
                                 "/t.jsonl' --out '" + out.path() + "'"),
             2);
   // --resume from an empty checkpoint directory.
-  EXPECT_EQ(run_bench(kFig5, std::string(kFig5Flags) + " --checkpoint '" +
+  EXPECT_EQ(run_bench(kFig5, std::string(kGoldenFlags) + " --checkpoint '" +
                                 snap.path() + "' --resume --out '" +
                                 out.path() + "'"),
             2);
+  // Malformed numbers and unknown flags are refused, not read as 0/1.0.
+  for (const char* bad : {"--scale banana", "--jobs abc", "--bogus-flag"}) {
+    EXPECT_EQ(run_bench(kFig5, std::string("--seed 1 ") + bad + " --out '" +
+                                  out.path() + "'"),
+              2)
+        << bad;
+  }
   // fig12 rejects --checkpoint outside --monitor.
   EXPECT_EQ(run_bench("bench_fig12_snowflake_monitor",
                       "--scale 0.05 --seed 1 --checkpoint '" + snap.path() +

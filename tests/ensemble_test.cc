@@ -8,8 +8,9 @@
 //     byte-identical to a standalone ShardedCampaign at repeat_seed(base, r),
 //     so adding repetitions never perturbs earlier ones;
 //   - the --repeats 1 byte-identity contract and the --jobs independence of
-//     the ensemble CSVs, checked end-to-end through the fig5 bench binary
-//     against tests/golden/ (BENCH_DIR / GOLDEN_DIR injected by CMake).
+//     the ensemble CSVs, checked end-to-end through the figure bench
+//     binaries against tests/golden/ (BENCH_DIR / GOLDEN_DIR injected by
+//     CMake).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -379,17 +380,23 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(EnsembleGolden, EnsembleCsvIsByteIdenticalAcrossJobCounts) {
-  TempDir seq, par;
-  ASSERT_FALSE(seq.path().empty());
-  ASSERT_FALSE(par.path().empty());
-  run_fig5("--jobs 1 --repeats 3", seq.path());
-  run_fig5("--jobs 4 --repeats 3", par.path());
-  for (const char* csv :
-       {"fig5_times.csv", "fig5_ensemble.csv", "fig5_ensemble_paired.csv"}) {
-    std::string a = strip_comments(read_file(seq.path() + "/" + csv));
-    std::string b = strip_comments(read_file(par.path() + "/" + csv));
-    ASSERT_FALSE(a.empty()) << csv << " is empty";
-    EXPECT_EQ(a, b) << csv << " differs between --jobs 1 and --jobs 4";
+  // fig7 runs nine client x server campaigns off one config.
+  const std::vector<std::pair<const char*, std::vector<const char*>>> cases =
+      {{"bench_fig5_file_download",
+        {"fig5_times.csv", "fig5_ensemble.csv", "fig5_ensemble_paired.csv"}},
+       {"bench_fig7_location", {"fig7_location.csv", "fig7_ensemble.csv"}}};
+  for (const auto& [bench, csvs] : cases) {
+    TempDir seq, par;
+    ASSERT_FALSE(seq.path().empty());
+    ASSERT_FALSE(par.path().empty());
+    run_bench(bench, "--jobs 1 --repeats 3", seq.path());
+    run_bench(bench, "--jobs 4 --repeats 3", par.path());
+    for (const char* csv : csvs) {
+      std::string a = strip_comments(read_file(seq.path() + "/" + csv));
+      std::string b = strip_comments(read_file(par.path() + "/" + csv));
+      ASSERT_FALSE(a.empty()) << csv << " is empty";
+      EXPECT_EQ(a, b) << csv << " differs between --jobs 1 and --jobs 4";
+    }
   }
 }
 

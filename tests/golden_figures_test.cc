@@ -1,6 +1,6 @@
-// Golden-figure regression suite: runs the four headline figure benches at
-// --scale 0.05 --seed 1 --jobs 2 and byte-compares their primary CSV
-// against a checked-in golden copy (tests/golden/). The `#` comment lines
+// Golden-figure regression suite: runs the figure benches at
+// --scale 0.05 --seed 1 --jobs 2 and byte-compares their golden CSVs
+// against checked-in copies (tests/golden/). The `#` comment lines
 // (seed/jobs/wall_s) are stripped on both sides — wall-clock is outside
 // the determinism contract; everything else is inside it. Any intentional
 // change to sampling, statistics, or the simulation model shows up as a
@@ -17,16 +17,18 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
 /// One figure under regression: which binary, which extra flags, which of
-/// its CSVs is the golden artifact. Flags here must match
+/// its CSVs are golden artifacts (a bench that derives several figures
+/// from one sweep owns several). Flags here must match
 /// tools/regen_golden.sh exactly.
 struct GoldenCase {
   const char* bench;
   const char* extra_args;
-  const char* csv;
+  std::vector<const char*> csvs;
 };
 
 constexpr const char* kCommonArgs = "--scale 0.05 --seed 1 --jobs 2";
@@ -76,43 +78,62 @@ void check_golden(const GoldenCase& c) {
                     tmp.path() + "' > /dev/null 2>&1";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 
-  std::string produced = strip_comments(read_file(tmp.path() + "/" + c.csv));
-  std::string golden =
-      strip_comments(read_file(std::string(GOLDEN_DIR) + "/" + c.csv));
-  ASSERT_FALSE(produced.empty()) << c.bench << " wrote an empty " << c.csv;
-  EXPECT_EQ(produced, golden)
-      << c.csv << " drifted from tests/golden/. If the change is intended, "
-      << "regenerate with tools/regen_golden.sh and commit the diff.";
+  for (const char* csv : c.csvs) {
+    std::string produced = strip_comments(read_file(tmp.path() + "/" + csv));
+    std::string golden =
+        strip_comments(read_file(std::string(GOLDEN_DIR) + "/" + csv));
+    ASSERT_FALSE(produced.empty()) << c.bench << " wrote an empty " << csv;
+    EXPECT_EQ(produced, golden)
+        << csv << " drifted from tests/golden/. If the change is intended, "
+        << "regenerate with tools/regen_golden.sh and commit the diff.";
+  }
 }
 
+// Table 10 is derived from fig2a's curl sweep, so the one run pins both.
 TEST(GoldenFigures, Fig2aWebsiteCurl) {
-  check_golden({"bench_fig2a_website_curl", "", "fig2a_boxes.csv"});
+  check_golden({"bench_fig2a_website_curl", "",
+                {"fig2a_boxes.csv", "table10_means.csv"}});
+}
+
+// Fig 11 (speed index) is derived from fig2b's selenium sweep.
+TEST(GoldenFigures, Fig11SpeedIndexFromFig2b) {
+  check_golden({"bench_fig2b_website_selenium", "",
+                {"fig11_speed_index.csv"}});
 }
 
 TEST(GoldenFigures, Fig5FileDownload) {
-  check_golden({"bench_fig5_file_download", "", "fig5_times.csv"});
+  check_golden({"bench_fig5_file_download", "", {"fig5_times.csv"}});
 }
 
 TEST(GoldenFigures, Fig6Ttfb) {
-  check_golden({"bench_fig6_ttfb", "", "fig6_ttfb_ecdf.csv"});
+  check_golden({"bench_fig6_ttfb", "", {"fig6_ttfb_ecdf.csv"}});
+}
+
+// Nine client x server campaigns on one config.
+TEST(GoldenFigures, Fig7Location) {
+  check_golden({"bench_fig7_location", "", {"fig7_location.csv"}});
+}
+
+TEST(GoldenFigures, MediumChange) {
+  check_golden({"bench_medium_change", "", {"medium_change.csv"}});
 }
 
 TEST(GoldenFigures, Fig8Reliability) {
   check_golden({"bench_fig8_reliability", "--faults paper --retries 1",
-                "fig8a_outcomes.csv"});
+                {"fig8a_outcomes.csv"}});
 }
 
 // fig10a's timeline is emitted by the population engine (weekly aggregates
 // of the emergent Iran-surge trajectory, docs/POPULATION.md), not written
 // as literals — this golden pins the model's output, anchors included.
 TEST(GoldenFigures, Fig10aPopulationTimeline) {
-  check_golden({"bench_fig10_snowflake_load", "", "fig10a_timeline.csv"});
+  check_golden({"bench_fig10_snowflake_load", "", {"fig10a_timeline.csv"}});
 }
 
 // fig12's weekly boxes sample the same population trajectory at weekly
 // windows; the golden pins the emergent utilization pathway end to end.
 TEST(GoldenFigures, Fig12WeeklyBoxes) {
-  check_golden({"bench_fig12_snowflake_monitor", "", "fig12_weekly.csv"});
+  check_golden({"bench_fig12_snowflake_monitor", "", {"fig12_weekly.csv"}});
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #
 # Two phases:
 #   1. Base goldens at --repeats 1 (the pre-ensemble behaviour), including
-#      fig10a's population-emitted timeline and fig12's weekly boxes. Before
+#      fig10a's population-emitted timeline, fig12's weekly boxes, and the
+#      figures derived from another sweep (Table 10 from fig2a, Fig 11
+#      from fig2b). Before
 #      replacing anything, each output is diffed against the checked-in
 #      golden: a drift means the single-run pipeline changed, which the
 #      ensemble layer alone must never do. The script aborts on drift
@@ -60,10 +62,12 @@ run_base() {
   done
 }
 
-run_base bench_fig2a_website_curl fig2a_boxes.csv
-run_base bench_fig2b_website_selenium fig2b_boxes.csv
+run_base bench_fig2a_website_curl fig2a_boxes.csv table10_means.csv
+run_base bench_fig2b_website_selenium fig2b_boxes.csv fig11_speed_index.csv
 run_base bench_fig5_file_download fig5_times.csv
 run_base bench_fig6_ttfb fig6_ttfb_ecdf.csv
+run_base bench_fig7_location fig7_location.csv
+run_base bench_medium_change medium_change.csv
 run_base bench_fig8_reliability fig8a_outcomes.csv --faults paper --retries 1
 run_base bench_fig9_overhead fig9_overhead.csv
 run_base bench_fig10_snowflake_load fig10a_timeline.csv fig10b_boxes.csv
