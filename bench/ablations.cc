@@ -245,7 +245,8 @@ void ablate_snowflake_churn(const BenchArgs& args) {
 }  // namespace ptperf::bench
 
 int main(int argc, char** argv) {
-  auto args = ptperf::bench::parse_args(argc, argv);
+  auto args = ptperf::bench::parse_args(argc, argv,
+                                         ptperf::bench::flag::kBasic);
   ptperf::bench::banner("Ablations", "design-choice validation sweeps", args);
   ptperf::bench::ablate_guard_load(args);
   ptperf::bench::ablate_dnstt_cap(args);

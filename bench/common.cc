@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 
+#include "crypto/dispatch.h"
 #include "trace/export.h"
 #include "util/strings.h"
 
@@ -41,9 +43,52 @@ std::optional<T> parse_number(const std::string& s) {
   std::exit(2);
 }
 
+/// One --help line per option, with the flag set that enables it.
+struct HelpLine {
+  unsigned flag;
+  const char* text;
+};
+
+constexpr HelpLine kHelp[] = {
+    {flag::kBasic, "--seed N  --scale X (workload multiplier)  --out DIR"},
+    {flag::kBasic, "--verbose (timings and the active crypto kernels)"},
+    {flag::kJobs, "--jobs N (shard threads; default: hardware concurrency,\n"
+                  "          1 = single-threaded; output is identical)"},
+    {flag::kRepeats,
+     "--repeats N (independent campaign repetitions; N > 1\n"
+     "          adds mean/stddev/ci95 ensemble CSVs; 1 is\n"
+     "          byte-identical to the single-run harness)"},
+    {flag::kFaults, "--faults none|paper (injected failures)"},
+    {flag::kFaults, "--retries N (retry budget per download in fault mode)"},
+    {flag::kTrace, "--trace PATH (flight-recorder capture: Chrome\n"
+                   "          trace_event JSON, or JSONL if PATH ends in\n"
+                   "          .jsonl; never changes the measured samples)"},
+    {flag::kTrace, "--trace-cells (add per-cell relay events to --trace)"},
+    {flag::kCheckpoint, "--checkpoint DIR (snapshot completed shards to\n"
+                        "          DIR/snapshot.ptck)"},
+    {flag::kCheckpoint, "--checkpoint-every N (snapshot write cadence in\n"
+                        "          completed shards; default 1)"},
+    {flag::kCheckpoint,
+     "--resume (continue from the --checkpoint snapshot;\n"
+     "          fingerprint-validated, byte-identical output)"},
+    {flag::kMonitor, "--monitor (continuous windowed monitor mode)"},
+    {flag::kMonitor, "--interval-hours H (virtual hours between monitor\n"
+                     "          windows; default 168)"},
+    {flag::kMonitor, "--windows N (monitor windows to run; a resumed run\n"
+                     "          may raise this to extend the series)"},
+};
+
+void print_help(unsigned supported) {
+  std::printf("options:\n");
+  for (const HelpLine& h : kHelp)
+    if ((h.flag & supported) == h.flag) std::printf("  %s\n", h.text);
+  std::printf("environment: PTPERF_CRYPTO=auto|scalar (crypto kernels; "
+              "output is identical)\n");
+}
+
 }  // namespace
 
-BenchArgs parse_args(int argc, char** argv) {
+BenchArgs parse_args(int argc, char** argv, unsigned supported) {
   BenchArgs args;
   args.start_wall_us = sim::wall_now_us();
   for (int i = 1; i < argc; ++i) {
@@ -58,63 +103,46 @@ BenchArgs parse_args(int argc, char** argv) {
       if (!parsed) usage_error(a + ": malformed number '" + value + "'");
       field = *parsed;
     };
+    // A flag this bench did not declare is refused, not silently ignored.
+    auto declared = [&](unsigned f) {
+      if ((supported & f) != f)
+        usage_error(a + " is not supported by this bench");
+      return true;
+    };
     if (a == "--seed") {
       number(args.seed);
     } else if (a == "--scale") {
       number(args.scale);
     } else if (a == "--out") {
       args.out_dir = next();
-    } else if (a == "--faults") {
-      args.faults = next();
-    } else if (a == "--retries") {
-      number(args.retries);
-    } else if (a == "--jobs" || a == "-j") {
-      number(args.jobs);
-    } else if (a == "--repeats") {
-      number(args.repeats);
-    } else if (a == "--trace") {
-      args.trace_out = next();
-    } else if (a == "--trace-cells") {
-      args.trace_cells = true;
-    } else if (a == "--checkpoint") {
-      args.checkpoint_dir = next();
-    } else if (a == "--checkpoint-every") {
-      number(args.checkpoint_every);
-    } else if (a == "--resume") {
-      args.resume = true;
-    } else if (a == "--monitor") {
-      args.monitor = true;
-    } else if (a == "--interval-hours") {
-      number(args.interval_hours);
-    } else if (a == "--windows") {
-      number(args.windows);
     } else if (a == "--verbose" || a == "-v") {
       args.verbose = true;
+    } else if (a == "--faults" && declared(flag::kFaults)) {
+      args.faults = next();
+    } else if (a == "--retries" && declared(flag::kFaults)) {
+      number(args.retries);
+    } else if ((a == "--jobs" || a == "-j") && declared(flag::kJobs)) {
+      number(args.jobs);
+    } else if (a == "--repeats" && declared(flag::kRepeats)) {
+      number(args.repeats);
+    } else if (a == "--trace" && declared(flag::kTrace)) {
+      args.trace_out = next();
+    } else if (a == "--trace-cells" && declared(flag::kTrace)) {
+      args.trace_cells = true;
+    } else if (a == "--checkpoint" && declared(flag::kCheckpoint)) {
+      args.checkpoint_dir = next();
+    } else if (a == "--checkpoint-every" && declared(flag::kCheckpoint)) {
+      number(args.checkpoint_every);
+    } else if (a == "--resume" && declared(flag::kCheckpoint)) {
+      args.resume = true;
+    } else if (a == "--monitor" && declared(flag::kMonitor)) {
+      args.monitor = true;
+    } else if (a == "--interval-hours" && declared(flag::kMonitor)) {
+      number(args.interval_hours);
+    } else if (a == "--windows" && declared(flag::kMonitor)) {
+      number(args.windows);
     } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "options: --seed N  --scale X (workload multiplier)  --out DIR\n"
-          "         --jobs N (shard threads; default: hardware concurrency,\n"
-          "                   1 = single-threaded; output is identical)\n"
-          "         --repeats N (independent campaign repetitions; N > 1\n"
-          "                   adds mean/stddev/ci95 ensemble CSVs; 1 is\n"
-          "                   byte-identical to the single-run harness)\n"
-          "         --faults none|paper (injected failures, fig8 only)\n"
-          "         --retries N (retry budget per download in fault mode)\n"
-          "         --trace PATH (flight-recorder capture: Chrome\n"
-          "                   trace_event JSON, or JSONL if PATH ends in\n"
-          "                   .jsonl; never changes the measured samples)\n"
-          "         --trace-cells (add per-cell relay events to --trace)\n"
-          "         --checkpoint DIR (snapshot completed shards to\n"
-          "                   DIR/snapshot.ptck; engine figures only)\n"
-          "         --checkpoint-every N (snapshot write cadence in\n"
-          "                   completed shards; default 1)\n"
-          "         --resume (continue from the --checkpoint snapshot;\n"
-          "                   fingerprint-validated, byte-identical output)\n"
-          "         --monitor (fig12: continuous windowed monitor mode)\n"
-          "         --interval-hours H (virtual hours between monitor\n"
-          "                   windows; default 168)\n"
-          "         --windows N (monitor windows to run; a resumed run\n"
-          "                   may raise this to extend the series)\n");
+      print_help(supported);
       std::exit(0);
     } else {
       usage_error("unknown flag " + a);
@@ -134,6 +162,14 @@ BenchArgs parse_args(int argc, char** argv) {
     // rather than emit a silently partial file.
     std::fprintf(stderr, "error: --checkpoint and --trace are mutually "
                          "exclusive\n");
+    std::exit(2);
+  }
+  // The one dispatch query: it reads PTPERF_CRYPTO, so a typo is refused
+  // here instead of throwing from the first hashed cell.
+  try {
+    crypto::kernels();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(2);
   }
   return args;
@@ -159,6 +195,8 @@ void banner(const std::string& id, const std::string& what,
     std::printf("   repeats=%d (independent worlds; seeds fork as "
                 "repeat/<r>)\n",
                 args.repeats);
+  if (args.verbose)
+    std::printf("   crypto=%s\n", crypto::kernels().names().c_str());
   std::printf("\n");
 }
 
@@ -247,10 +285,12 @@ void print_shard_timings(const std::vector<ShardTiming>& timings,
   }
   std::printf("-- shard timings (%zu shards, jobs=%d) --\n%s", timings.size(),
               args.effective_jobs(), t.to_text().c_str());
-  std::printf("   cumulative shard wall %.2fs, end-to-end wall %.2fs\n\n",
+  std::printf("   cumulative shard wall %.2fs, end-to-end wall %.2fs, "
+              "crypto=%s\n\n",
               static_cast<double>(wall_total) / 1e6,
               static_cast<double>(sim::wall_now_us() - args.start_wall_us) /
-                  1e6);
+                  1e6,
+              crypto::kernels().names().c_str());
 }
 
 std::vector<std::string> box_header() {
@@ -317,7 +357,8 @@ void emit(const stats::Table& table, const BenchArgs& args,
     annotated.set_comment(
         "seed=" + std::to_string(args.seed) +
         " jobs=" + std::to_string(args.effective_jobs()) +
-        " wall_s=" + util::fmt_double(wall_s, 2));
+        " wall_s=" + util::fmt_double(wall_s, 2) +
+        " crypto=" + crypto::kernels().names());
   }
   std::string path = args.out_dir + "/" + name + ".csv";
   if (!annotated.write_csv(path)) {

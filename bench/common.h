@@ -1,6 +1,7 @@
 // Shared plumbing for the figure/table reproduction binaries: CLI args
-// (--seed, --scale, --jobs, --repeats, --out, ...; an unknown flag or a
-// malformed number exits 2), the campaign configs, and the table
+// (--seed, --scale, --out, --verbose, plus the flags each bench declares;
+// an undeclared or unknown flag, a malformed number or an unknown
+// PTPERF_CRYPTO value exits 2), the campaign configs, and the table
 // renderers every bench uses. Each bench prints the paper's rows
 // to stdout and mirrors them to CSV files under --out (default: cwd).
 // Campaign-driven benches run on the sharded engine (ptperf/parallel.h):
@@ -85,13 +86,36 @@ struct BenchArgs {
   int effective_jobs() const;
 };
 
-BenchArgs parse_args(int argc, char** argv);
+/// Flags a bench declares to parse_args on top of the ones every bench
+/// honors (--seed, --scale, --out, --verbose, --help). A flag the bench
+/// did not declare exits 2 like an unknown one, so no binary accepts a
+/// flag it would ignore.
+namespace flag {
+inline constexpr unsigned kBasic = 0;  ///< only the flags every bench honors
+inline constexpr unsigned kJobs = 1u << 0;     ///< --jobs / -j
+inline constexpr unsigned kRepeats = 1u << 1;  ///< --repeats
+inline constexpr unsigned kTrace = 1u << 2;    ///< --trace, --trace-cells
+/// --checkpoint, --checkpoint-every, --resume
+inline constexpr unsigned kCheckpoint = 1u << 3;
+inline constexpr unsigned kFaults = 1u << 4;  ///< --faults, --retries
+/// --monitor, --interval-hours, --windows
+inline constexpr unsigned kMonitor = 1u << 5;
+/// What a figure on the ensemble engine honors through ensemble_config()
+/// and emit_trace().
+inline constexpr unsigned kEngine = kJobs | kRepeats | kTrace | kCheckpoint;
+}  // namespace flag
+
+/// Parses the command line against the `supported` flag set (flag::*).
+/// Also runs the crypto dispatch query once (crypto/dispatch.h), so an
+/// unknown PTPERF_CRYPTO value exits 2 before any work starts.
+BenchArgs parse_args(int argc, char** argv, unsigned supported);
 
 /// base * scale, at least `min_value`.
 std::size_t scaled(std::size_t base, double scale, std::size_t min_value = 1);
 int scaled_int(int base, double scale, int min_value = 1);
 
-/// Prints a banner naming the artifact being reproduced.
+/// Prints a banner naming the artifact being reproduced (plus the active
+/// crypto kernels under --verbose).
 void banner(const std::string& id, const std::string& what,
             const BenchArgs& args);
 
@@ -229,9 +253,10 @@ stats::Table ecdf_table(
     const std::vector<double>& probes, const std::string& value_name);
 
 /// Writes table CSV to <out>/<name>.csv and reports on stdout. The CSV
-/// carries a `#` header comment recording seed, jobs and the end-to-end
-/// wall time so far — run metadata, deliberately outside the byte-identity
-/// contract (strip `#` lines before diffing runs).
+/// carries a `#` header comment recording seed, jobs, the end-to-end wall
+/// time so far and the active crypto kernels — run metadata, deliberately
+/// outside the byte-identity contract (strip `#` lines before diffing
+/// runs).
 void emit(const stats::Table& table, const BenchArgs& args,
           const std::string& name, bool print_text = true);
 

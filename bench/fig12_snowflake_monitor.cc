@@ -196,5 +196,8 @@ int run(const BenchArgs& args) {
 }  // namespace ptperf::bench
 
 int main(int argc, char** argv) {
-  return ptperf::bench::run(ptperf::bench::parse_args(argc, argv));
+  namespace b = ptperf::bench;
+  return b::run(b::parse_args(argc, argv,
+                              b::flag::kJobs | b::flag::kRepeats |
+                                  b::flag::kCheckpoint | b::flag::kMonitor));
 }

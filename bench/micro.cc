@@ -9,13 +9,16 @@
 // Legacy-API benchmarks (BM_CellRoundTrip, BM_AeadSealOpen) are kept
 // alongside their zero-copy counterparts (BM_CellPipeline,
 // BM_AeadSealOpenInPlace) so the trajectory records what the buffer
-// discipline bought.
+// discipline bought. Likewise BM_Sha256Scalar/BM_ChaCha20Scalar run the
+// scalar reference kernels next to the dispatched ones (crypto/dispatch.h);
+// /509 is the relay-cell payload size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
+#include "crypto/dispatch.h"
 #include "crypto/hmac.h"
 #include "crypto/poly1305.h"
 #include "crypto/sha256.h"
@@ -41,7 +44,26 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(509)->Arg(1024)->Arg(16384);
+
+/// BM_Sha256 on the scalar reference kernel: the same message, padded once
+/// outside the loop, compressed from the initial state every iteration.
+void BM_Sha256Scalar(benchmark::State& state) {
+  std::size_t n = static_cast<std::size_t>(state.range(0));
+  util::Bytes padded(n, 0xab);
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  for (int i = 7; i >= 0; --i)
+    padded.push_back(static_cast<std::uint8_t>((n * 8) >> (i * 8)));
+  for (auto _ : state) {
+    std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    crypto::detail::sha256_blocks_scalar(h, padded.data(), padded.size() / 64);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256Scalar)->Arg(64)->Arg(509)->Arg(1024)->Arg(16384);
 
 void BM_ChaCha20(benchmark::State& state) {
   sim::Rng rng(1);
@@ -54,7 +76,36 @@ void BM_ChaCha20(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ChaCha20)->Arg(512)->Arg(16384);
+BENCHMARK(BM_ChaCha20)->Arg(509)->Arg(512)->Arg(16384);
+
+/// BM_ChaCha20 on the scalar reference kernel, batched the way
+/// ChaCha20::process batches (up to eight blocks per call, a partial tail
+/// through a keystream block); each iteration starts block-aligned.
+void BM_ChaCha20Scalar(benchmark::State& state) {
+  sim::Rng rng(1);
+  std::uint32_t st[16];
+  for (std::uint32_t& w : st) w = static_cast<std::uint32_t>(rng.next_u64());
+  util::Bytes data(static_cast<std::size_t>(state.range(0)), 0x42);
+  std::uint8_t tail[64];
+  for (auto _ : state) {
+    std::uint8_t* p = data.data();
+    std::size_t len = data.size();
+    while (len > 0) {
+      std::size_t blocks = std::min<std::size_t>(len / 64, 8);
+      bool partial = blocks < 8 && len % 64 != 0;
+      crypto::detail::chacha20_xor_scalar(st, p, blocks,
+                                          partial ? tail : nullptr);
+      st[12] += static_cast<std::uint32_t>(blocks + (partial ? 1 : 0));
+      std::size_t done = partial ? len : blocks * 64;
+      for (std::size_t i = blocks * 64; i < done; ++i) p[i] ^= tail[i % 64];
+      p += done;
+      len -= done;
+    }
+    benchmark::DoNotOptimize(data.data());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ChaCha20Scalar)->Arg(509)->Arg(512)->Arg(16384);
 
 void BM_Poly1305(benchmark::State& state) {
   sim::Rng rng(2);

@@ -82,5 +82,6 @@ int run(const BenchArgs& args) {
 }  // namespace ptperf::bench
 
 int main(int argc, char** argv) {
-  return ptperf::bench::run(ptperf::bench::parse_args(argc, argv));
+  namespace b = ptperf::bench;
+  return b::run(b::parse_args(argc, argv, b::flag::kBasic));
 }

@@ -1,9 +1,21 @@
 #include "crypto/chacha20.h"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
+#include "crypto/dispatch.h"
+
 namespace ptperf::crypto {
+
+// Every circuit hop and PT session holds ChaCha20 objects, so a buffer big
+// enough for a whole batch would cost memory per hop; batches of keystream
+// go straight into the caller's buffer instead.
+static_assert(sizeof(ChaCha20) ==
+                  16 * sizeof(std::uint32_t) + 64 + sizeof(std::size_t),
+              "ChaCha20 must stay 136 bytes (LP64)");
+
 namespace {
 
 inline std::uint32_t load_le32(const std::uint8_t* p) {
@@ -21,9 +33,9 @@ inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
   c += d; b ^= c; b = std::rotl(b, 7);
 }
 
-void chacha_block(const std::array<std::uint32_t, 16>& in,
-                  std::array<std::uint8_t, 64>& out) {
-  std::array<std::uint32_t, 16> x = in;
+void chacha_block(const std::uint32_t* in, std::uint8_t* out) {
+  std::array<std::uint32_t, 16> x;
+  std::copy(in, in + 16, x.begin());
   for (int i = 0; i < 10; ++i) {
     quarter_round(x[0], x[4], x[8], x[12]);
     quarter_round(x[1], x[5], x[9], x[13]);
@@ -43,7 +55,37 @@ void chacha_block(const std::array<std::uint32_t, 16>& in,
   }
 }
 
+/// XORs `len` bytes of keystream into data, eight bytes per operation.
+void xor_keystream(std::uint8_t* data, const std::uint8_t* ks,
+                   std::size_t len) {
+  std::size_t w = 0;
+  for (; w + 8 <= len; w += 8) {
+    std::uint64_t d, k;
+    std::memcpy(&d, data + w, 8);
+    std::memcpy(&k, ks + w, 8);
+    d ^= k;
+    std::memcpy(data + w, &d, 8);
+  }
+  for (; w < len; ++w) data[w] ^= ks[w];
+}
+
 }  // namespace
+
+namespace detail {
+
+void chacha20_xor_scalar(const std::uint32_t* state, std::uint8_t* data,
+                         std::size_t blocks, std::uint8_t* tail) {
+  std::uint32_t in[16];
+  std::copy(state, state + 16, in);
+  std::uint8_t ks[64];
+  for (std::size_t b = 0; b < blocks; ++b, ++in[12]) {
+    chacha_block(in, ks);
+    xor_keystream(data + b * 64, ks, 64);
+  }
+  if (tail) chacha_block(in, tail);
+}
+
+}  // namespace detail
 
 ChaCha20::ChaCha20(util::BytesView key, util::BytesView nonce,
                    std::uint32_t initial_counter) {
@@ -57,33 +99,39 @@ ChaCha20::ChaCha20(util::BytesView key, util::BytesView nonce,
 }
 
 void ChaCha20::refill() {
-  chacha_block(state_, keystream_);
+  chacha_block(state_.data(), keystream_.data());
   state_[12] += 1;
   keystream_pos_ = 0;
 }
 
 void ChaCha20::process(std::uint8_t* data, std::size_t len) {
-  // XOR in runs against the buffered keystream block, eight bytes per
-  // operation: the onion data path XORs every relay cell three times per
-  // direction, so this loop bounds circuit throughput.
-  std::size_t i = 0;
-  while (i < len) {
-    if (keystream_pos_ == 64) refill();
-    std::size_t run = len - i;
-    if (run > 64 - keystream_pos_) run = 64 - keystream_pos_;
-    const std::uint8_t* ks = keystream_.data() + keystream_pos_;
-    std::size_t w = 0;
-    for (; w + 8 <= run; w += 8) {
-      std::uint64_t d, k;
-      std::memcpy(&d, data + i + w, 8);
-      std::memcpy(&k, ks + w, 8);
-      d ^= k;
-      std::memcpy(data + i + w, &d, 8);
-    }
-    for (; w < run; ++w) data[i + w] ^= ks[w];
-    i += run;
-    keystream_pos_ += run;
+  // The onion data path XORs every relay cell three times per direction,
+  // so this bounds circuit throughput. Spend the buffered keystream first,
+  // then XOR whole blocks straight into `data` in batches of up to eight
+  // (the dispatched kernel computes a batch at once); a partial tail that
+  // fits the last batch's spare lane comes back as the new buffered block.
+  std::size_t buffered = std::min(len, 64 - keystream_pos_);
+  xor_keystream(data, keystream_.data() + keystream_pos_, buffered);
+  keystream_pos_ += buffered;
+  data += buffered;
+  len -= buffered;
+
+  const ChaCha20XorFn xor_blocks = kernels().chacha20_xor;
+  while (len >= 64) {
+    std::size_t blocks = std::min<std::size_t>(len / 64, 8);
+    std::size_t rest = len - blocks * 64;
+    bool tail = blocks < 8 && rest > 0;
+    xor_blocks(state_.data(), data, blocks,
+               tail ? keystream_.data() : nullptr);
+    state_[12] += static_cast<std::uint32_t>(blocks + (tail ? 1 : 0));
+    data += blocks * 64;
+    len = rest;
+    if (tail) keystream_pos_ = 0;
   }
+  if (len == 0) return;
+  if (keystream_pos_ == 64) refill();
+  xor_keystream(data, keystream_.data() + keystream_pos_, len);
+  keystream_pos_ += len;
 }
 
 std::array<std::uint8_t, 64> ChaCha20::block(util::BytesView key,

@@ -3,10 +3,12 @@
 #include <bit>
 #include <cstring>
 
-namespace ptperf::crypto {
-namespace {
+#include "crypto/dispatch.h"
 
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
+namespace ptperf::crypto {
+namespace detail {
+
+const std::uint32_t kSha256RoundConstants[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -19,18 +21,11 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
+namespace {
+
 inline std::uint32_t rotr(std::uint32_t x, int n) { return std::rotr(x, n); }
 
-}  // namespace
-
-void Sha256::reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  buffer_len_ = 0;
-  total_len_ = 0;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void process_block(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(block[i * 4]) << 24 |
@@ -44,11 +39,12 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  auto [a, b, c, d, e, f, g, h] = state_;
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+    std::uint32_t temp1 = h + s1 + ch + kSha256RoundConstants[i] + w[i];
     std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
     std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
     std::uint32_t temp2 = s0 + maj;
@@ -61,14 +57,34 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = temp1 + temp2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+}  // namespace
+
+void sha256_blocks_scalar(std::uint32_t* state, const std::uint8_t* data,
+                          std::size_t blocks) {
+  for (std::size_t i = 0; i < blocks; ++i) process_block(state, data + i * 64);
+}
+
+}  // namespace detail
+
+void Sha256::reset() {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  buffer_len_ = 0;
+  total_len_ = 0;
+}
+
+void Sha256::compress(const std::uint8_t* data, std::size_t blocks) {
+  kernels().sha256_blocks(state_.data(), data, blocks);
 }
 
 void Sha256::update(util::BytesView data) {
@@ -81,13 +97,13 @@ void Sha256::update(util::BytesView data) {
     buffer_len_ += chunk;
     offset = chunk;
     if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
+      compress(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    process_block(data.data() + offset);
-    offset += kBlockSize;
+  if (std::size_t blocks = (data.size() - offset) / kBlockSize) {
+    compress(data.data() + offset, blocks);
+    offset += blocks * kBlockSize;
   }
   if (offset < data.size()) {
     buffer_len_ = data.size() - offset;

@@ -24,7 +24,9 @@ class Sha256 {
   static std::array<std::uint8_t, kDigestSize> digest(util::BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Runs the dispatched compression kernel (crypto/dispatch.h) over
+  /// `blocks` whole blocks.
+  void compress(const std::uint8_t* data, std::size_t blocks);
 
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, kBlockSize> buffer_;

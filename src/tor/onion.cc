@@ -11,39 +11,26 @@ RelayLayer::RelayLayer(const CircuitKeys& keys)
   bwd_digest_.update(util::to_bytes("bwd"));
 }
 
-std::uint32_t RelayLayer::peek(const crypto::Sha256& state,
-                               util::BytesView payload) {
+std::uint32_t RelayLayer::peek(const crypto::Sha256& state) {
   crypto::Sha256 copy = state;
-  copy.update(payload);
   auto d = copy.finalize();
   return static_cast<std::uint32_t>(d[0]) << 24 |
          static_cast<std::uint32_t>(d[1]) << 16 |
          static_cast<std::uint32_t>(d[2]) << 8 | d[3];
 }
 
-std::uint32_t RelayLayer::commit_forward_digest(util::BytesView payload) {
-  std::uint32_t d = peek(fwd_digest_, payload);
-  fwd_digest_.update(payload);
-  return d;
+std::uint32_t RelayLayer::commit(crypto::Sha256& state,
+                                 util::BytesView payload) {
+  state.update(payload);
+  return peek(state);
 }
 
-std::uint32_t RelayLayer::commit_backward_digest(util::BytesView payload) {
-  std::uint32_t d = peek(bwd_digest_, payload);
-  bwd_digest_.update(payload);
-  return d;
-}
-
-bool RelayLayer::check_forward_digest(util::BytesView payload,
-                                      std::uint32_t expected) {
-  if (peek(fwd_digest_, payload) != expected) return false;
-  fwd_digest_.update(payload);
-  return true;
-}
-
-bool RelayLayer::check_backward_digest(util::BytesView payload,
-                                       std::uint32_t expected) {
-  if (peek(bwd_digest_, payload) != expected) return false;
-  bwd_digest_.update(payload);
+bool RelayLayer::check(crypto::Sha256& state, util::BytesView payload,
+                       std::uint32_t expected) {
+  crypto::Sha256 candidate = state;
+  candidate.update(payload);
+  if (peek(candidate) != expected) return false;
+  state = candidate;
   return true;
 }
 

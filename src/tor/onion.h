@@ -35,17 +35,32 @@ class RelayLayer {
   /// Computes the digest a sender stamps into a relay cell destined for /
   /// originated at this hop, committing the payload into the rolling hash.
   /// `payload` must have the digest field zeroed.
-  std::uint32_t commit_forward_digest(util::BytesView payload);
-  std::uint32_t commit_backward_digest(util::BytesView payload);
+  std::uint32_t commit_forward_digest(util::BytesView payload) {
+    return commit(fwd_digest_, payload);
+  }
+  std::uint32_t commit_backward_digest(util::BytesView payload) {
+    return commit(bwd_digest_, payload);
+  }
 
   /// Verifies a received digest; commits to the rolling hash only on
   /// match (cells recognized elsewhere must not perturb this hop's state).
-  bool check_forward_digest(util::BytesView payload, std::uint32_t expected);
-  bool check_backward_digest(util::BytesView payload, std::uint32_t expected);
+  bool check_forward_digest(util::BytesView payload, std::uint32_t expected) {
+    return check(fwd_digest_, payload, expected);
+  }
+  bool check_backward_digest(util::BytesView payload,
+                             std::uint32_t expected) {
+    return check(bwd_digest_, payload, expected);
+  }
 
  private:
-  static std::uint32_t peek(const crypto::Sha256& state,
-                            util::BytesView payload);
+  /// The digest word of the hash so far: the first four bytes of a
+  /// finalized copy (the running state stays open for the next cell).
+  static std::uint32_t peek(const crypto::Sha256& state);
+  /// Hashes each payload exactly once: into the running state on commit,
+  /// into a candidate copy on check that replaces the state only on match.
+  static std::uint32_t commit(crypto::Sha256& state, util::BytesView payload);
+  static bool check(crypto::Sha256& state, util::BytesView payload,
+                    std::uint32_t expected);
 
   crypto::ChaCha20 fwd_;
   crypto::ChaCha20 bwd_;

@@ -260,9 +260,12 @@ TEST(CrashEquivalenceCross, FaultCountersSurviveResume) {
 // ---------------------------------------------------------------------------
 // Bench-binary-level CLI contract (BENCH_DIR injected by CMake)
 
-int run_bench(const std::string& binary, const std::string& args) {
-  std::string cmd = std::string(BENCH_DIR) + "/" + binary + " " + args +
-                    " > /dev/null 2>&1";
+/// Runs a bench binary with `args`; `env` (e.g. "PTPERF_CRYPTO=scalar")
+/// prefixes the command line.
+int run_bench(const std::string& binary, const std::string& args,
+              const std::string& env = "") {
+  std::string cmd = env + " " + std::string(BENCH_DIR) + "/" + binary + " " +
+                    args + " > /dev/null 2>&1";
   int status = std::system(cmd.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -361,6 +364,34 @@ TEST(CheckpointBench, FlagMisuseExitsTwo) {
                       "--scale 0.05 --seed 1 --checkpoint '" + snap.path() +
                           "' --out '" + out.path() + "'"),
             2);
+  // An unknown crypto dispatch mode is refused before any work starts.
+  EXPECT_EQ(run_bench(kFig5, std::string(kGoldenFlags) + " --out '" +
+                                 out.path() + "'",
+                      "PTPERF_CRYPTO=bogus"),
+            2);
+}
+
+TEST(BenchFlags, UndeclaredFlagsExitTwo) {
+  TempDir out;
+  const std::string to = " --out '" + out.path() + "'";
+  // Benches that build their own worlds have no shard pool, ensemble,
+  // snapshot or capture: those flags are refused, not ignored.
+  EXPECT_EQ(run_bench("bench_fig3_fixed_circuit", "--jobs 4" + to), 2);
+  EXPECT_EQ(run_bench("bench_table2_inventory", "--repeats 3" + to), 2);
+  for (const char* flag : {"--jobs 2", "--repeats 3", "--checkpoint ck",
+                           "--checkpoint-every 2", "--resume", "--trace t.json",
+                           "--faults paper", "--monitor"}) {
+    EXPECT_EQ(run_bench("bench_table2_inventory", std::string(flag) + to), 2)
+        << flag;
+  }
+  // Only fig8 injects faults; only fig12 has a monitor mode.
+  EXPECT_EQ(run_bench(kFig5, "--faults paper" + to), 2);
+  EXPECT_EQ(run_bench(kFig5, "--windows 3" + to), 2);
+  // The flags every bench honors still work.
+  EXPECT_EQ(run_bench("bench_table2_inventory", "--seed 3 --verbose" + to), 0);
+  EXPECT_EQ(run_bench("bench_table2_inventory", "--seed 3" + to,
+                      "PTPERF_CRYPTO=scalar"),
+            0);
 }
 
 TEST(CheckpointBench, MonitorResumeExtendsTheWindowSeriesByteIdentically) {

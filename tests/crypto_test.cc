@@ -1,10 +1,15 @@
 // Crypto suite against published test vectors: FIPS 180-4 (SHA-256),
 // RFC 4231 (HMAC), RFC 5869 (HKDF), RFC 8439 (ChaCha20 / Poly1305 / AEAD),
-// RFC 7748 (X25519).
+// RFC 7748 (X25519). The SIMD kernels behind crypto/dispatch.h are
+// differential-tested against the scalar reference kernels.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <stdexcept>
 
 #include "crypto/aead.h"
 #include "crypto/chacha20.h"
+#include "crypto/dispatch.h"
 #include "crypto/hmac.h"
 #include "crypto/poly1305.h"
 #include "crypto/sha256.h"
@@ -125,8 +130,11 @@ TEST(ChaCha20, Rfc8439Encryption) {
       "only one tip for the future, sunscreen would be it.";
   ChaCha20 cipher(key, nonce, 1);
   Bytes ct = cipher.process_copy(to_bytes(plaintext));
-  EXPECT_EQ(hex_encode(util::BytesView(ct.data(), 16)),
-            "6e2e359a2568f98041ba0728dd0d6981");
+  EXPECT_EQ(hex_encode(ct),
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42874d");
   // Decrypt restores the plaintext.
   ChaCha20 decipher(key, nonce, 1);
   EXPECT_EQ(util::to_string(decipher.process_copy(ct)), plaintext);
@@ -246,6 +254,255 @@ TEST(X25519, ClampProperties) {
   EXPECT_EQ(clamped[0] & 7, 0);
   EXPECT_EQ(clamped[31] & 0x80, 0);
   EXPECT_EQ(clamped[31] & 0x40, 0x40);
+}
+
+// ---------------------------------------------------------------------------
+// CPU feature dispatch: every SIMD kernel against the scalar reference.
+
+TEST(CryptoDispatch, SelectionRule) {
+  Kernels scalar = detail::select_kernels("scalar");
+  EXPECT_EQ(scalar.sha256_blocks, detail::sha256_blocks_scalar);
+  EXPECT_EQ(scalar.chacha20_xor, detail::chacha20_xor_scalar);
+  EXPECT_EQ(scalar.names(), "scalar");
+
+  for (const char* mode : {static_cast<const char*>(nullptr), "auto"}) {
+    Kernels k = detail::select_kernels(mode);
+    EXPECT_EQ(k.sha256_blocks == detail::sha256_blocks_sha_ni,
+              detail::cpu_has_sha_ni());
+    EXPECT_EQ(k.chacha20_xor == detail::chacha20_xor_avx2,
+              detail::cpu_has_avx2());
+    if (detail::cpu_has_sha_ni() && detail::cpu_has_avx2())
+      EXPECT_EQ(k.names(), "sha-ni,avx2");
+  }
+  for (const char* bad : {"", "bogus", "AVX2", "Scalar", "scalar "})
+    EXPECT_THROW(detail::select_kernels(bad), std::invalid_argument) << bad;
+
+  // The process-wide choice is one of the two legal outcomes.
+  std::string active = kernels().names();
+  EXPECT_TRUE(active == "scalar" ||
+              active == detail::select_kernels("auto").names())
+      << active;
+}
+
+/// One-shot SHA-256 computed directly on a block kernel: FIPS 180-4
+/// padding, then the kernel over every block at once.
+Bytes sha256_with(Sha256BlocksFn blocks_fn, util::BytesView msg) {
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i)
+    padded.push_back(static_cast<std::uint8_t>(bits >> (i * 8)));
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  blocks_fn(state, padded.data(), padded.size() / 64);
+  Bytes out;
+  for (std::uint32_t w : state)
+    for (int i = 3; i >= 0; --i)
+      out.push_back(static_cast<std::uint8_t>(w >> (i * 8)));
+  return out;
+}
+
+void skip_without_sha_ni() {
+  if (!detail::cpu_has_sha_ni()) GTEST_SKIP() << "CPU lacks SHA-NI";
+}
+
+void skip_without_avx2() {
+  if (!detail::cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+}
+
+void expect_fips180_vectors(Sha256BlocksFn fn) {
+  struct Vector {
+    std::string msg;
+    const char* hex;
+  };
+  const Vector vectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const Vector& v : vectors)
+    EXPECT_EQ(hex_encode(sha256_with(fn, to_bytes(v.msg))), v.hex)
+        << v.msg.size() << "-byte message";
+}
+
+TEST(Sha256Kernels, Fips180VectorsOnScalarKernel) {
+  expect_fips180_vectors(detail::sha256_blocks_scalar);
+}
+
+TEST(Sha256Kernels, Fips180VectorsOnShaNiKernel) {
+  skip_without_sha_ni();
+  expect_fips180_vectors(detail::sha256_blocks_sha_ni);
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalarOnSeededInputs) {
+  skip_without_sha_ni();
+  sim::Rng rng(0x5a5a);
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    Bytes msg = rng.bytes(len);
+    Bytes want = sha256_with(detail::sha256_blocks_scalar, msg);
+    ASSERT_EQ(sha256_with(detail::sha256_blocks_sha_ni, msg), want) << len;
+    // The dispatched incremental path, fed in two uneven pieces.
+    std::size_t split = rng.next_below(len + 1);
+    Sha256 h;
+    h.update(util::BytesView(msg.data(), split));
+    h.update(util::BytesView(msg.data() + split, len - split));
+    auto got = h.finalize();
+    ASSERT_EQ(Bytes(got.begin(), got.end()), want) << len << "/" << split;
+  }
+}
+
+TEST(Sha256Kernels, ShaNiContinuesAnArbitraryChainingState) {
+  skip_without_sha_ni();
+  sim::Rng rng(0xc4a1);
+  for (std::size_t blocks = 1; blocks <= 9; ++blocks) {
+    Bytes data = rng.bytes(blocks * 64);
+    std::uint32_t a[8], b[8];
+    for (std::uint32_t& w : a) w = static_cast<std::uint32_t>(rng.next_u64());
+    std::memcpy(b, a, sizeof a);
+    detail::sha256_blocks_scalar(a, data.data(), blocks);
+    detail::sha256_blocks_sha_ni(b, data.data(), blocks);
+    EXPECT_EQ(std::memcmp(a, b, sizeof a), 0) << blocks;
+  }
+}
+
+/// The ChaCha20 input state for (key, nonce, counter), as ChaCha20 lays it
+/// out.
+std::array<std::uint32_t, 16> chacha_state(util::BytesView key,
+                                           util::BytesView nonce,
+                                           std::uint32_t counter) {
+  std::array<std::uint32_t, 16> s = {0x61707865, 0x3320646e, 0x79622d32,
+                                     0x6b206574};
+  auto le32 = [](const std::uint8_t* p) {
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
+  };
+  for (int i = 0; i < 8; ++i) s[4 + i] = le32(key.data() + i * 4);
+  s[12] = counter;
+  for (int i = 0; i < 3; ++i) s[13 + i] = le32(nonce.data() + i * 4);
+  return s;
+}
+
+void expect_rfc8439_vectors(ChaCha20XorFn fn) {
+  // RFC 8439 §2.3.2 keystream block (counter 1) and §2.4.2 ciphertext
+  // (counter 1, 114 bytes = one whole block plus a 50-byte tail).
+  Bytes key = *hex_decode(
+      "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  auto s = chacha_state(key, *hex_decode("000000090000004a00000000"), 1);
+  Bytes block(64, 0);
+  fn(s.data(), block.data(), 1, nullptr);
+  EXPECT_EQ(hex_encode(block),
+            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+            "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e");
+
+  s = chacha_state(key, *hex_decode("000000000000004a00000000"), 1);
+  Bytes text = to_bytes(
+      "Ladies and Gentlemen of the class of '99: If I could offer you "
+      "only one tip for the future, sunscreen would be it.");
+  std::uint8_t tail[64];
+  fn(s.data(), text.data(), 1, tail);
+  for (std::size_t i = 64; i < text.size(); ++i) text[i] ^= tail[i - 64];
+  EXPECT_EQ(hex_encode(text),
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42874d");
+}
+
+TEST(ChaCha20Kernels, Rfc8439VectorsOnScalarKernel) {
+  expect_rfc8439_vectors(detail::chacha20_xor_scalar);
+}
+
+TEST(ChaCha20Kernels, Rfc8439VectorsOnAvx2Kernel) {
+  skip_without_avx2();
+  expect_rfc8439_vectors(detail::chacha20_xor_avx2);
+}
+
+TEST(ChaCha20Kernels, Avx2MatchesScalarOnEveryBatchShape) {
+  skip_without_avx2();
+  sim::Rng rng(0xc8a);
+  // Counters straddling the 2^32 wrap: lanes must wrap exactly as the
+  // scalar counter does, and must not carry into the nonce.
+  for (std::uint32_t counter : {0u, 1u, 0x7FFFFFFFu, 0xFFFFFFF8u, 0xFFFFFFF9u,
+                                0xFFFFFFFCu, 0xFFFFFFFFu}) {
+    for (std::size_t blocks = 0; blocks <= 8; ++blocks) {
+      for (bool with_tail : {false, true}) {
+        std::size_t lanes = blocks + (with_tail ? 1 : 0);
+        if (lanes == 0 || lanes > 8) continue;
+        auto s = chacha_state(rng.bytes(32), rng.bytes(12), counter);
+        auto before = s;
+        Bytes data = rng.bytes(blocks * 64);
+        Bytes want = data, got = data;
+        std::uint8_t want_tail[64] = {}, got_tail[64] = {};
+        detail::chacha20_xor_scalar(s.data(), want.data(), blocks,
+                                    with_tail ? want_tail : nullptr);
+        detail::chacha20_xor_avx2(s.data(), got.data(), blocks,
+                                  with_tail ? got_tail : nullptr);
+        EXPECT_EQ(got, want) << counter << "/" << blocks << "/" << with_tail;
+        EXPECT_EQ(std::memcmp(got_tail, want_tail, 64), 0)
+            << counter << "/" << blocks << "/" << with_tail;
+        EXPECT_EQ(s, before);
+      }
+    }
+  }
+}
+
+/// The reference keystream: ChaCha20::block for consecutive counters
+/// (the one-block scalar path, independent of the dispatched kernels).
+Bytes reference_keystream(util::BytesView key, util::BytesView nonce,
+                          std::uint32_t counter, std::size_t len) {
+  Bytes ks;
+  while (ks.size() < len) {
+    auto block = ChaCha20::block(key, nonce, counter++);
+    ks.insert(ks.end(), block.begin(), block.end());
+  }
+  ks.resize(len);
+  return ks;
+}
+
+TEST(ChaCha20Kernels, ContinuingStreamMatchesReferenceFromEveryOffset) {
+  // A continuing stream positioned at byte offset 0..63 of its current
+  // block, then fed one seeded input of length 0..4096: the first call
+  // spends the buffered keystream, the next ones go through the batch
+  // kernel and the tail buffer.
+  sim::Rng rng(0x0ff5e7);
+  for (std::uint32_t counter : {0u, 0xFFFFFFF8u}) {
+    for (std::size_t offset = 0; offset < 64; ++offset) {
+      for (int trial = 0; trial < 12; ++trial) {
+        std::size_t len = trial == 0   ? 4096
+                          : trial == 1 ? 509
+                                       : rng.next_below(4097);
+        Bytes key = rng.bytes(32), nonce = rng.bytes(12);
+        Bytes data = rng.bytes(offset + len + 700);
+        Bytes want = data;
+        Bytes ks = reference_keystream(key, nonce, counter, want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) want[i] ^= ks[i];
+
+        ChaCha20 cipher(key, nonce, counter);
+        Bytes got = data;
+        cipher.process(got.data(), offset);
+        cipher.process(got.data() + offset, len);
+        // Keep going in cell-sized and odd pieces: the stream position
+        // after `len` must be exact too.
+        std::size_t pos = offset + len;
+        for (std::size_t piece : {509u, 3u, 188u}) {
+          cipher.process(got.data() + pos, piece);
+          pos += piece;
+        }
+        ASSERT_EQ(got, want) << "counter=" << counter << " offset=" << offset
+                             << " len=" << len;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "crypto/sha256.h"
 #include "ptperf/scenario.h"
 #include "tor/cell.h"
 #include "tor/ntor.h"
@@ -186,6 +187,62 @@ TEST(OnionLayer, CheckWithoutCommitDoesNotPerturb) {
   // A failed check (cell for another hop) must not advance the hash.
   EXPECT_FALSE(receiver.check_forward_digest(unrelated, 0xDEAD));
   EXPECT_TRUE(receiver.check_forward_digest(cell1, d1));
+}
+
+/// The naive digest a RelayLayer must reproduce: a fresh SHA-256 over the
+/// seed, the direction label and every payload committed so far, in order.
+std::uint32_t naive_digest(const CircuitKeys& keys, const char* direction,
+                           const std::vector<util::Bytes>& committed) {
+  util::Bytes all = keys.digest_seed;
+  util::Bytes label = util::to_bytes(direction);
+  all.insert(all.end(), label.begin(), label.end());
+  for (const util::Bytes& p : committed)
+    all.insert(all.end(), p.begin(), p.end());
+  auto d = crypto::Sha256::digest(all);
+  return static_cast<std::uint32_t>(d[0]) << 24 |
+         static_cast<std::uint32_t>(d[1]) << 16 |
+         static_cast<std::uint32_t>(d[2]) << 8 | d[3];
+}
+
+TEST(OnionLayer, RollingDigestMatchesNaiveReference) {
+  // Both directions, payloads of cell size and of odd sizes (so the
+  // running state is mid-block between cells), with mismatching checks
+  // interleaved: a failed check must leave the hop's state untouched.
+  sim::Rng rng(11);
+  CircuitKeys keys = test_keys(rng);
+  RelayLayer sender(keys), receiver(keys);
+  std::vector<util::Bytes> fwd, bwd;
+  for (int i = 0; i < 200; ++i) {
+    bool forward = rng.next_bool(0.5);
+    std::size_t len =
+        rng.next_bool(0.7) ? kCellPayloadSize : rng.next_below(1200);
+    util::Bytes payload = rng.bytes(len);
+    std::vector<util::Bytes>& log = forward ? fwd : bwd;
+    log.push_back(payload);
+    std::uint32_t want = naive_digest(keys, forward ? "fwd" : "bwd", log);
+
+    std::uint32_t got = forward ? sender.commit_forward_digest(payload)
+                                : sender.commit_backward_digest(payload);
+    ASSERT_EQ(got, want) << "cell " << i;
+
+    if (rng.next_bool(0.4)) {
+      // Wrong digest, then a different payload under the right digest.
+      util::Bytes other = rng.bytes(len + 1);
+      EXPECT_FALSE(forward ? receiver.check_forward_digest(payload, ~want)
+                           : receiver.check_backward_digest(payload, ~want));
+      EXPECT_FALSE(forward ? receiver.check_forward_digest(other, want)
+                           : receiver.check_backward_digest(other, want));
+    }
+    ASSERT_TRUE(forward ? receiver.check_forward_digest(payload, want)
+                        : receiver.check_backward_digest(payload, want))
+        << "cell " << i;
+  }
+  // Both ends agree on the next digest in each direction.
+  util::Bytes next = rng.bytes(kCellPayloadSize);
+  EXPECT_EQ(sender.commit_forward_digest(next),
+            receiver.commit_forward_digest(next));
+  EXPECT_EQ(sender.commit_backward_digest(next),
+            receiver.commit_backward_digest(next));
 }
 
 TEST(OnionLayer, MultiHopLayering) {

@@ -19,7 +19,8 @@
 # baseline by at least PCT percent. --write-baseline regenerates
 # bench/baseline.json from this run — review the diff before committing.
 #
-# Environment: BENCH_BIN (default ./build/bench/bench_micro),
+# Environment: BENCH_BIN (default ./build/bench/bench_micro), BENCH_LABEL
+# (the series entry's label; default: the short commit hash of HEAD),
 # BENCH_TOLERANCE (regression band as a fraction, default 0.5 — wide on
 # purpose: shared CI runners jitter, and the gate exists to catch the
 # 2x-copy-crept-back class of regression, not 5% noise).
@@ -59,7 +60,7 @@ trap 'rm -f "$raw"' EXIT
 "$bin" --benchmark_format=json --benchmark_repetitions="$repetitions" \
   --benchmark_out="$raw" --benchmark_out_format=json >/dev/null
 
-label="$(git rev-parse --short HEAD 2>/dev/null || echo unversioned)"
+label="${BENCH_LABEL:-$(git rev-parse --short HEAD 2>/dev/null || echo unversioned)}"
 
 OUT="$out" RAW="$raw" TOL="${BENCH_TOLERANCE:-0.5}" \
 REQUIRE="${require_speedup}" WRITE_BASELINE="$write_baseline" \
