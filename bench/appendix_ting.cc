@@ -42,14 +42,9 @@ int run(const BenchArgs& args) {
   for (std::size_t i = 0; i < pairs; ++i) {
     tor::Path p = sampler.select({});
     tor::RelayIndex x = p.entry, y = p.middle;
-    bool done = false;
-    tor::TingResult result;
-    tor::ting_measure(client, "ting.echo:80", x, y, {},
-                      [&](tor::TingResult r) {
-                        result = std::move(r);
-                        done = true;
-                      });
-    scenario.loop().run_until_done([&] { return done; });
+    auto result = scenario.loop().await<tor::TingResult>([&](auto done) {
+      tor::ting_measure(client, "ting.echo:80", x, y, {}, done);
+    });
 
     if (!result.ok) {
       t.add_row({std::to_string(x), std::to_string(y), "-", "-",

@@ -77,7 +77,6 @@ int run(const BenchArgs& args) {
   // Iterations: fresh middle/exit pair per iteration, shared by all three
   // stacks (paper: 500 iterations x 5 sites; default 25, --scale grows).
   std::size_t iterations = scaled(25, args.scale, 5);
-  sim::Rng pick_rng = scenario.fork_rng("fig3-pick");
   tor::PathSelector sampler(scenario.consensus(),
                             scenario.fork_rng("fig3-sampler"));
 
@@ -97,16 +96,14 @@ int run(const BenchArgs& args) {
     for (const workload::Website& site : scenario.tranco().sites()) {
       double site_time[3] = {-1, -1, -1};
       for (std::size_t k = 0; k < stacks.size(); ++k) {
-        bool done = false;
-        stacks[k].fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
-                                 [&](workload::FetchResult r) {
-                                   if (r.success) {
-                                     stacks[k].times.push_back(r.elapsed());
-                                     site_time[k] = r.elapsed();
-                                   }
-                                   done = true;
-                                 });
-        loop.run_until_done([&] { return done; });
+        auto r = loop.await<workload::FetchResult>([&](auto done) {
+          stacks[k].fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
+                                   done);
+        });
+        if (r.success) {
+          stacks[k].times.push_back(r.elapsed());
+          site_time[k] = r.elapsed();
+        }
       }
       if (site_time[0] >= 0) {
         for (int k = 1; k < 3; ++k)

@@ -58,21 +58,15 @@ int run(const BenchArgs& args) {
     o4_pool->new_identity();
     tor_pool->warm(loop);
     o4_pool->warm(loop);
-    double t_tor = -1, t_o4 = -1;
-    bool done = false;
-    tor_fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
-                       [&](workload::FetchResult r) {
-                         if (r.success) t_tor = r.elapsed();
-                         done = true;
-                       });
-    loop.run_until_done([&] { return done; });
-    done = false;
-    o4_fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
-                      [&](workload::FetchResult r) {
-                        if (r.success) t_o4 = r.elapsed();
-                        done = true;
-                      });
-    loop.run_until_done([&] { return done; });
+    auto access = [&](workload::Fetcher& fetcher) {
+      return loop
+          .await<workload::FetchResult>([&](auto done) {
+            fetcher.fetch(site.hostname, "/", sim::from_seconds(120), done);
+          })
+          .elapsed();
+    };
+    double t_tor = access(*tor_fetcher);
+    double t_o4 = access(*o4_fetcher);
 
     if (t_tor >= 0 && t_o4 >= 0) {
       tor_times.push_back(t_tor);

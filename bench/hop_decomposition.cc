@@ -18,14 +18,13 @@ std::optional<trace::CircuitHops> traced_build(
     Scenario& scenario, trace::Recorder& rec,
     const std::shared_ptr<tor::TorClient>& client,
     const std::vector<tor::RelayIndex>& hops) {
-  std::optional<tor::TorCircuit> circ;
-  bool done = false;
-  client->build_circuit_path(hops, [&](std::optional<tor::TorCircuit> c,
-                                       std::string) {
-    circ = std::move(c);
-    done = true;
-  });
-  scenario.loop().run_until_done([&] { return done; });
+  auto circ = scenario.loop().await<std::optional<tor::TorCircuit>>(
+      [&](auto done) {
+        client->build_circuit_path(
+            hops, [done](std::optional<tor::TorCircuit> c, std::string) {
+              done(std::move(c));
+            });
+      });
   if (circ) circ->close();
   trace::TraceData data = rec.take();
   if (!circ) return std::nullopt;

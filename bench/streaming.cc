@@ -40,15 +40,13 @@ int run(const BenchArgs& args) {
     for (int i = 0; i < reps; ++i) {
       stack.new_identity();
       if (stack.rotate_guard) stack.rotate_guard();
-      workload::StreamingResult result;
-      bool done = false;
       workload::StreamingClient sc(scenario.loop(), stack.dialer);
-      sc.play(spec, sim::from_seconds(sim::to_seconds(spec.duration) * 5 + 60),
-              [&](workload::StreamingResult r) {
-                result = std::move(r);
-                done = true;
-              });
-      scenario.loop().run_until_done([&] { return done; });
+      auto result =
+          scenario.loop().await<workload::StreamingResult>([&](auto done) {
+            sc.play(spec,
+                    sim::from_seconds(sim::to_seconds(spec.duration) * 5 + 60),
+                    done);
+          });
       if (result.started) ++started;
       if (result.completed) ++completed;
       rebuffers += result.rebuffer_events;

@@ -145,17 +145,14 @@ int main() {
   std::printf("fetching 5 sites through the custom rot13 transport...\n");
   int ok = 0, done = 0;
   for (const workload::Website& site : scenario.tranco().sites()) {
-    fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
-                   [&](workload::FetchResult r) {
-                     ++done;
-                     if (r.success) {
-                       ++ok;
-                       std::printf("  %-16s %.2fs\n", r.target.c_str(),
-                                   r.elapsed());
-                     }
-                   });
-    scenario.loop().run_until_done(
-        [&, want = done + 1] { return done >= want; });
+    auto r = scenario.loop().await<workload::FetchResult>([&](auto report) {
+      fetcher->fetch(site.hostname, "/", sim::from_seconds(120), report);
+    });
+    ++done;
+    if (r.success) {
+      ++ok;
+      std::printf("  %-16s %.2fs\n", r.target.c_str(), r.elapsed());
+    }
   }
   std::printf("%d/%d pages fetched through a transport written in ~100 "
               "lines\n", ok, done);

@@ -27,32 +27,24 @@ int main() {
               site.hostname.c_str(), site.default_page_bytes,
               obfs4.name().c_str());
 
-  bool done = false;
-  obfs4.fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
-                       [&](workload::FetchResult r) {
-                         done = true;
-                         if (r.success) {
-                           std::printf(
-                               "done: %zu bytes in %.2fs (TTFB %.2fs)\n",
-                               r.received_bytes, r.elapsed(), r.ttfb());
-                         } else {
-                           std::printf("failed: %s\n", r.error.c_str());
-                         }
-                       });
-
-  // 4. Run virtual time until the fetch completes.
-  scenario.loop().run_until_done([&] { return done; });
+  //    await() runs virtual time until the fetch reports its result.
+  auto fetch = [&](PtStack& stack) {
+    return scenario.loop().await<workload::FetchResult>([&](auto done) {
+      stack.fetcher->fetch(site.hostname, "/", sim::from_seconds(120), done);
+    });
+  };
+  workload::FetchResult r = fetch(obfs4);
+  if (r.success) {
+    std::printf("done: %zu bytes in %.2fs (TTFB %.2fs)\n", r.received_bytes,
+                r.elapsed(), r.ttfb());
+  } else {
+    std::printf("failed: %s\n", r.error.c_str());
+  }
 
   // Bonus: the same fetch over vanilla Tor for comparison.
   PtStack tor = factory.create_vanilla();
-  done = false;
-  tor.fetcher->fetch(site.hostname, "/", sim::from_seconds(120),
-                     [&](workload::FetchResult r) {
-                       done = true;
-                       if (r.success)
-                         std::printf("vanilla Tor for comparison: %.2fs\n",
-                                     r.elapsed());
-                     });
-  scenario.loop().run_until_done([&] { return done; });
+  r = fetch(tor);
+  if (r.success)
+    std::printf("vanilla Tor for comparison: %.2fs\n", r.elapsed());
   return 0;
 }

@@ -19,6 +19,19 @@ std::string_view outcome_name(DownloadOutcome o) {
   return "unknown";
 }
 
+namespace {
+
+/// A fresh circuit, and a fresh guard too where the stack rotates one (a
+/// null `rotate_guard` keeps the first hop). The paper's measurements span
+/// a year of natural guard rotation, so re-sampling the guard per site
+/// recovers the population-average first hop for non-bridge transports.
+void fresh_circuit(PtStack& stack) {
+  if (stack.rotate_guard) stack.rotate_guard();
+  stack.new_identity();
+}
+
+}  // namespace
+
 Campaign::Campaign(Scenario& scenario, CampaignOptions opts)
     : scenario_(&scenario), opts_(opts) {}
 
@@ -41,45 +54,17 @@ std::vector<WebsiteSample> Campaign::run_website_curl(
     PtStack& stack, const std::vector<const workload::Website*>& sites) {
   std::vector<WebsiteSample> samples;
   samples.reserve(sites.size() * static_cast<std::size_t>(opts_.website_reps));
-
-  std::size_t site_idx = 0;
-  int rep = 0;
-  bool running = false;
-  bool finished = sites.empty();
   sim::EventLoop& loop = scenario_->loop();
-
-  std::function<void()> start_next = [&]() {
-    if (site_idx >= sites.size()) {
-      finished = true;
-      return;
+  for (const workload::Website* site : sites) {
+    fresh_circuit(stack);
+    for (int rep = 0; rep < opts_.website_reps; ++rep) {
+      auto result = loop.await<workload::FetchResult>([&](auto done) {
+        stack.fetcher->fetch(site->hostname, "/", opts_.website_timeout, done);
+      });
+      samples.push_back({stack.name(), site->hostname, rep, std::move(result)});
+      loop.idle(opts_.think_gap);
     }
-    if (rep == 0) {
-      if (opts_.rotate_guard_per_site && stack.rotate_guard)
-        stack.rotate_guard();
-      if (opts_.new_circuit_per_site) stack.new_identity();
-    }
-    running = true;
-    const workload::Website* site = sites[site_idx];
-    stack.fetcher->fetch(
-        site->hostname, "/", opts_.website_timeout,
-        [&, site](workload::FetchResult r) {
-          WebsiteSample s;
-          s.pt = stack.name();
-          s.site = site->hostname;
-          s.rep = rep;
-          s.result = std::move(r);
-          samples.push_back(std::move(s));
-          if (++rep >= opts_.website_reps) {
-            rep = 0;
-            ++site_idx;
-          }
-          running = false;
-          loop.schedule(opts_.think_gap, [&] { start_next(); });
-        });
-  };
-
-  start_next();
-  loop.run_until_done([&] { return finished && !running; });
+  }
   return samples;
 }
 
@@ -87,147 +72,62 @@ std::vector<PageSample> Campaign::run_website_selenium(
     PtStack& stack, const std::vector<const workload::Website*>& sites) {
   std::vector<PageSample> samples;
   if (!stack.supports_selenium()) return samples;
-
-  std::size_t site_idx = 0;
-  int rep = 0;
-  bool running = false;
-  bool finished = sites.empty();
   sim::EventLoop& loop = scenario_->loop();
-
-  std::function<void()> start_next = [&]() {
-    if (site_idx >= sites.size()) {
-      finished = true;
-      return;
+  for (const workload::Website* site : sites) {
+    fresh_circuit(stack);
+    for (int rep = 0; rep < opts_.website_reps; ++rep) {
+      auto result = loop.await<workload::PageLoadResult>(
+          [&](auto done) { stack.fetcher->fetch_page(*site, done); });
+      double speed_index_s = workload::speed_index(*site, result);
+      samples.push_back({stack.name(), site->hostname, rep, std::move(result),
+                         speed_index_s});
+      loop.idle(opts_.think_gap);
     }
-    if (rep == 0) {
-      if (opts_.rotate_guard_per_site && stack.rotate_guard)
-        stack.rotate_guard();
-      if (opts_.new_circuit_per_site) stack.new_identity();
-    }
-    running = true;
-    const workload::Website* site = sites[site_idx];
-    stack.fetcher->fetch_page(*site, [&, site](workload::PageLoadResult r) {
-      PageSample s;
-      s.pt = stack.name();
-      s.site = site->hostname;
-      s.rep = rep;
-      s.speed_index_s = workload::speed_index(*site, r);
-      s.result = std::move(r);
-      samples.push_back(std::move(s));
-      if (++rep >= opts_.website_reps) {
-        rep = 0;
-        ++site_idx;
-      }
-      running = false;
-      loop.schedule(opts_.think_gap, [&] { start_next(); });
-    });
-  };
-
-  start_next();
-  loop.run_until_done([&] { return finished && !running; });
+  }
   return samples;
 }
 
 std::vector<FileSample> Campaign::run_file_downloads(
     PtStack& stack, const std::vector<std::size_t>& sizes) {
   std::vector<FileSample> samples;
-  std::size_t size_idx = 0;
-  int rep = 0;
-  bool running = false;
-  bool finished = sizes.empty();
-  sim::EventLoop& loop = scenario_->loop();
-
-  std::function<void()> start_next = [&]() {
-    if (size_idx >= sizes.size()) {
-      finished = true;
-      return;
-    }
-    // Every attempt gets a fresh circuit: bulk transfers regularly outlive
-    // tunnels, and the paper retried from scratch.
-    if (opts_.rotate_guard_per_site && stack.rotate_guard)
-      stack.rotate_guard();
-    stack.new_identity();
-    running = true;
-    std::size_t size = sizes[size_idx];
-    std::string target = "/" + workload::file_target_name(size);
-    stack.fetcher->fetch(
-        "files.example", target, opts_.file_timeout,
-        [&, size](workload::FetchResult r) {
-          FileSample s;
-          s.pt = stack.name();
-          s.size_bytes = size;
-          s.rep = rep;
-          s.result = std::move(r);
-          samples.push_back(std::move(s));
-          if (++rep >= opts_.file_reps) {
-            rep = 0;
-            ++size_idx;
-          }
-          running = false;
-          loop.schedule(opts_.think_gap, [&] { start_next(); });
-        });
-  };
-
-  start_next();
-  loop.run_until_done([&] { return finished && !running; });
+  for (ReliabilitySample& r : run_reliability(stack, sizes))
+    samples.push_back({std::move(r.pt), r.size_bytes, r.rep,
+                       std::move(r.result)});
   return samples;
 }
 
 std::vector<ReliabilitySample> Campaign::run_reliability(
     PtStack& stack, const std::vector<std::size_t>& sizes, RetryPolicy retry) {
   std::vector<ReliabilitySample> samples;
-  std::size_t size_idx = 0;
-  int rep = 0;
-  int attempt = 0;
-  bool running = false;
-  bool finished = sizes.empty();
   sim::EventLoop& loop = scenario_->loop();
-
-  std::function<void()> start_next = [&]() {
-    if (size_idx >= sizes.size()) {
-      finished = true;
-      return;
-    }
-    // Every attempt — first try or retry — runs over a fresh circuit,
-    // matching the paper's from-scratch retries.
-    if (opts_.rotate_guard_per_site && stack.rotate_guard)
-      stack.rotate_guard();
-    stack.new_identity();
-    running = true;
-    std::size_t size = sizes[size_idx];
+  for (std::size_t size : sizes) {
     std::string target = "/" + workload::file_target_name(size);
-    stack.fetcher->fetch(
-        "files.example", target, opts_.file_timeout,
-        [&, size](workload::FetchResult r) {
-          ++attempt;
-          DownloadOutcome outcome = classify(r);
-          bool retryable = outcome == DownloadOutcome::kFailed ||
-                           (retry.retry_on_partial &&
-                            outcome == DownloadOutcome::kPartial);
-          running = false;
-          if (retryable && attempt <= retry.max_retries) {
-            loop.schedule(retry.backoff, [&] { start_next(); });
-            return;
-          }
-          ReliabilitySample s;
-          s.pt = stack.name();
-          s.size_bytes = size;
-          s.rep = rep;
-          s.attempts = attempt;
-          s.outcome = outcome;
-          s.result = std::move(r);
-          samples.push_back(std::move(s));
-          attempt = 0;
-          if (++rep >= opts_.file_reps) {
-            rep = 0;
-            ++size_idx;
-          }
-          loop.schedule(opts_.think_gap, [&] { start_next(); });
+    for (int rep = 0; rep < opts_.file_reps; ++rep) {
+      ReliabilitySample s;
+      s.pt = stack.name();
+      s.size_bytes = size;
+      s.rep = rep;
+      for (;;) {
+        // Every attempt, first try or retry, runs over a fresh circuit:
+        // bulk transfers regularly outlive tunnels, and the paper retried
+        // from scratch.
+        fresh_circuit(stack);
+        s.result = loop.await<workload::FetchResult>([&](auto done) {
+          stack.fetcher->fetch("files.example", target, opts_.file_timeout,
+                               done);
         });
-  };
-
-  start_next();
-  loop.run_until_done([&] { return finished && !running; });
+        s.outcome = classify(s.result);
+        bool retryable = s.outcome == DownloadOutcome::kFailed ||
+                         (retry.retry_on_partial &&
+                          s.outcome == DownloadOutcome::kPartial);
+        if (!retryable || s.attempts > retry.max_retries) break;
+        ++s.attempts;
+        loop.idle(retry.backoff);
+      }
+      samples.push_back(std::move(s));
+      loop.idle(opts_.think_gap);
+    }
+  }
   return samples;
 }
 

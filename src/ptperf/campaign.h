@@ -2,9 +2,11 @@
 // a PtStack inside a Scenario — website access via curl and selenium, bulk
 // file downloads, TTFB capture, reliability classification. Within one
 // Scenario, measurements run sequentially in that world's virtual time,
-// each website over a fresh circuit (matching the paper's methodology),
-// with think-time gaps so transport state (polling backoffs, windows)
-// settles between measurements. Campaign is the per-shard worker of the
+// each website (and each file attempt) over a fresh circuit, matching the
+// paper's methodology; the guard rotates with it through the stack's
+// `rotate_guard` hook, when the stack has one. Think-time gaps let
+// transport state (polling backoffs, windows) settle between
+// measurements. Campaign is the per-shard worker of the
 // sharded engine (src/ptperf/parallel.h): the engine replicates
 // Scenario+PtStack+Campaign per shard and merges their samples in
 // deterministic plan order, so whole campaigns scale across cores without
@@ -82,12 +84,6 @@ struct CampaignOptions {
   sim::Duration website_timeout = sim::from_seconds(120);
   sim::Duration file_timeout = sim::from_seconds(1200);
   sim::Duration think_gap = sim::from_seconds(1);
-  /// Fresh circuit per website (the paper's per-site circuits).
-  bool new_circuit_per_site = true;
-  /// Re-sample the guard per site: the paper's measurements span a year
-  /// of natural guard rotation, so per-site rotation recovers the
-  /// population-average first hop for non-bridge transports.
-  bool rotate_guard_per_site = true;
 };
 
 class Campaign {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "sim/rng.h"
 #include "stats/descriptive.h"
@@ -54,15 +55,15 @@ std::uint64_t EnsembleCampaign::total_injected_faults() const {
 }
 
 /// Runs `run(engine)` once per repetition, each against a ShardedCampaign
-/// whose scenario seed is the repetition's fork. Repetitions execute in
-/// order; each one parallelizes internally over base.jobs, so wall time
-/// scales like repeats x (single campaign) while every repetition stays
-/// individually jobs-independent.
-template <typename Sample, typename Run>
-EnsembleRuns<Sample> EnsembleCampaign::run_reps(const Run& run) {
-  EnsembleRuns<Sample> out;
+/// whose scenario seed is the repetition's fork, and returns the results in
+/// repetition order. Repetitions execute in order; each one parallelizes
+/// internally over base.jobs, so wall time scales like repeats x (single
+/// campaign) while every repetition stays individually jobs-independent.
+template <typename Run>
+auto EnsembleCampaign::run_reps(const Run& run) {
+  std::vector<std::invoke_result_t<const Run&, ShardedCampaign&>> out;
   int n = repeats();
-  out.reps.reserve(static_cast<std::size_t>(n));
+  out.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     ShardedCampaignConfig sc = cfg_.base;
     sc.scenario.seed = repeat_seed(cfg_.base.scenario.seed, r);
@@ -71,7 +72,7 @@ EnsembleRuns<Sample> EnsembleCampaign::run_reps(const Run& run) {
     // repetitions never grow (or reorder) the capture.
     if (r > 0) sc.trace_categories = 0;
     ShardedCampaign engine(sc);
-    out.reps.push_back(run(engine));
+    out.push_back(run(engine));
     for (const ShardTiming& t : engine.timings()) timings_.push_back(t);
     if (r == 0) {
       for (const trace::ShardTrace& tr : engine.traces())
@@ -85,55 +86,47 @@ EnsembleRuns<Sample> EnsembleCampaign::run_reps(const Run& run) {
 
 EnsembleRuns<WebsiteSample> EnsembleCampaign::run_website_curl(
     const std::vector<std::optional<PtId>>& pts, const SiteSelection& sites) {
-  return run_reps<WebsiteSample>([&](ShardedCampaign& engine) {
+  return {run_reps([&](ShardedCampaign& engine) {
     return engine.run_website_curl(pts, sites);
-  });
+  })};
 }
 
 EnsembleRuns<PageSample> EnsembleCampaign::run_website_selenium(
     const std::vector<std::optional<PtId>>& pts, const SiteSelection& sites) {
-  return run_reps<PageSample>([&](ShardedCampaign& engine) {
+  return {run_reps([&](ShardedCampaign& engine) {
     return engine.run_website_selenium(pts, sites);
-  });
+  })};
 }
 
 EnsembleRuns<FileSample> EnsembleCampaign::run_file_downloads(
     const std::vector<std::optional<PtId>>& pts,
     const std::vector<std::size_t>& sizes) {
-  return run_reps<FileSample>([&](ShardedCampaign& engine) {
+  return {run_reps([&](ShardedCampaign& engine) {
     return engine.run_file_downloads(pts, sizes);
-  });
+  })};
 }
 
 EnsembleRuns<ReliabilitySample> EnsembleCampaign::run_reliability(
     const std::vector<std::optional<PtId>>& pts,
     const std::vector<std::size_t>& sizes, RetryPolicy retry) {
-  return run_reps<ReliabilitySample>([&](ShardedCampaign& engine) {
+  return {run_reps([&](ShardedCampaign& engine) {
     return engine.run_reliability(pts, sizes, retry);
-  });
+  })};
 }
 
 std::vector<population::Trajectory> EnsembleCampaign::run_population(
     const population::PopulationConfig& pcfg) {
-  std::vector<population::Trajectory> out;
-  int n = repeats();
-  out.reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    ShardedCampaignConfig sc = cfg_.base;
-    sc.scenario.seed = repeat_seed(cfg_.base.scenario.seed, r);
-    if (r > 0) sc.trace_categories = 0;
-    ShardedCampaign engine(sc);
-    out.push_back(engine.run_population(pcfg));
-    for (const ShardTiming& t : engine.timings()) timings_.push_back(t);
-  }
-  return out;
+  // Population shards record no traces and inject no faults, so only the
+  // timings of the shared repetition loop accumulate.
+  return run_reps(
+      [&](ShardedCampaign& engine) { return engine.run_population(pcfg); });
 }
 
 EnsembleRuns<OverheadSample> EnsembleCampaign::run_overhead(
     const std::vector<PtId>& pts, const SiteSelection& sites) {
-  return run_reps<OverheadSample>([&](ShardedCampaign& engine) {
+  return {run_reps([&](ShardedCampaign& engine) {
     return engine.run_overhead(pts, sites);
-  });
+  })};
 }
 
 }  // namespace ptperf

@@ -118,8 +118,9 @@ class EnsembleCampaign {
   std::uint64_t total_injected_faults() const;
 
  private:
-  template <typename Sample, typename Run>
-  EnsembleRuns<Sample> run_reps(const Run& run);
+  /// One result of `run` per repetition; defined in ensemble.cc.
+  template <typename Run>
+  auto run_reps(const Run& run);
 
   EnsembleCampaignConfig cfg_;
   std::vector<ShardTiming> timings_;

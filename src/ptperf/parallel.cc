@@ -303,15 +303,11 @@ std::vector<OverheadSample> ShardedCampaign::run_overhead(
                                   scenario.fork_rng("fig9-sampler"));
 
         auto fetch_once = [&loop](PtStack& s, const std::string& host) {
-          double t = -1;
-          bool done = false;
-          s.fetcher->fetch(host, "/", sim::from_seconds(120),
-                           [&](workload::FetchResult r) {
-                             if (r.success) t = r.elapsed();
-                             done = true;
-                           });
-          loop.run_until_done([&] { return done; });
-          return t;
+          return loop
+              .await<workload::FetchResult>([&](auto done) {
+                s.fetcher->fetch(host, "/", sim::from_seconds(120), done);
+              })
+              .elapsed();
         };
 
         const pt::layer::LayerStack* layers = stack.transport->layer_stack();

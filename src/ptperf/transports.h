@@ -72,8 +72,8 @@ struct PtStack {
   workload::Fetcher::SocksDialer dialer;
   /// Retire the current circuit (next fetch builds a fresh one).
   std::function<void()> new_identity;
-  /// Re-sample the persisted guard (campaigns spanning months see many
-  /// guards; per-site rotation reproduces the population average).
+  /// Re-sample the persisted guard before each fresh campaign circuit
+  /// (see fresh_circuit in campaign.cc); null keeps the first hop fixed.
   std::function<void()> rotate_guard;
   /// Non-null for snowflake: load-regime control (§5.3).
   pt::SnowflakeTransport* snowflake = nullptr;

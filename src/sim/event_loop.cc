@@ -45,6 +45,10 @@ bool EventLoop::run_until_done(const std::function<bool()>& done,
   return done();
 }
 
+void EventLoop::idle(Duration gap) {
+  await<bool>([&](auto done) { schedule(gap, [done] { done(true); }); });
+}
+
 std::size_t EventLoop::run() {
   return run_until(TimePoint{std::numeric_limits<std::int64_t>::max()});
 }

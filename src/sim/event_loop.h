@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/time.h"
@@ -61,6 +63,26 @@ class EventLoop {
   /// is exceeded. Returns whether done() became true.
   bool run_until_done(const std::function<bool()>& done,
                       std::size_t max_events = 500'000'000);
+
+  /// Blocks the caller in virtual time on one asynchronous result: calls
+  /// `start(done)`, steps until `done(T)` has run, and returns the value.
+  /// `done` may run inside `start`. Throws std::logic_error if the queue
+  /// drains first, since the result can then never arrive.
+  template <typename T, typename Start>
+  T await(Start start) {
+    auto result = std::make_shared<std::optional<T>>();
+    start([result](T value) { *result = std::move(value); });
+    while (!*result) {
+      if (!step())
+        throw std::logic_error("EventLoop::await: queue drained with no result");
+    }
+    return std::move(**result);
+  }
+
+  /// Lets `gap` of virtual time pass: schedules one event `gap` ahead that
+  /// does nothing but end the wait, and steps until it has run, so
+  /// everything due before it runs too.
+  void idle(Duration gap);
 
   /// True if events remain.
   bool pending() const { return !queue_.empty(); }

@@ -97,7 +97,7 @@ TEST(SnowflakeBehavior, OverloadSlowsAccessAndKillsBulk) {
   copts.website_reps = 2;
   // One fixed guard across both eras: guard-quality variance would
   // otherwise swamp the broker/proxy load signal in a small sample.
-  copts.rotate_guard_per_site = false;
+  sf.rotate_guard = nullptr;
   Campaign campaign(scenario, copts);
   auto sites = Campaign::take_sites(scenario.tranco(), 6);
 
@@ -180,9 +180,10 @@ TEST(GuardLoadEffect, BridgePtBeatsTorThroughLoadedGuard) {
   pinned.entry = loaded_guard;
   tor.pool->set_constraints(pinned);
 
+  tor.rotate_guard = nullptr;  // keep the pinned entries
+  obfs4.rotate_guard = nullptr;
   CampaignOptions copts;
   copts.website_reps = 2;
-  copts.rotate_guard_per_site = false;  // keep the pinned entries
   Campaign campaign(scenario, copts);
   auto sites = Campaign::take_sites(scenario.tranco(), 6);
 

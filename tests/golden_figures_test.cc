@@ -1,6 +1,7 @@
 // Golden-figure regression suite: runs the figure benches at
-// --scale 0.05 --seed 1 --jobs 2 and byte-compares their golden CSVs
-// against checked-in copies (tests/golden/). The `#` comment lines
+// --scale 0.05 --seed 1 (plus --jobs 2 for the engine figures) and
+// byte-compares their golden CSVs against checked-in copies
+// (tests/golden/). The `#` comment lines
 // (seed/jobs/wall_s) are stripped on both sides — wall-clock is outside
 // the determinism contract; everything else is inside it. Any intentional
 // change to sampling, statistics, or the simulation model shows up as a
@@ -21,17 +22,21 @@
 
 namespace {
 
+/// Flags shared by the engine figures, and by the benches that drive
+/// Campaign directly and so refuse --jobs (flag::kBasic).
+constexpr const char* kEngineArgs = "--scale 0.05 --seed 1 --jobs 2";
+constexpr const char* kBasicArgs = "--scale 0.05 --seed 1";
+
 /// One figure under regression: which binary, which extra flags, which of
 /// its CSVs are golden artifacts (a bench that derives several figures
-/// from one sweep owns several). Flags here must match
-/// tools/regen_golden.sh exactly.
+/// from one sweep owns several), and which shared flags it takes. Flags
+/// here must match tools/regen_golden.sh exactly.
 struct GoldenCase {
   const char* bench;
   const char* extra_args;
   std::vector<const char*> csvs;
+  const char* common_args = kEngineArgs;
 };
-
-constexpr const char* kCommonArgs = "--scale 0.05 --seed 1 --jobs 2";
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -74,7 +79,7 @@ void check_golden(const GoldenCase& c) {
   TempDir tmp;
   ASSERT_FALSE(tmp.path().empty());
   std::string cmd = std::string(BENCH_DIR) + "/" + c.bench + " " +
-                    kCommonArgs + " " + c.extra_args + " --out '" +
+                    c.common_args + " " + c.extra_args + " --out '" +
                     tmp.path() + "' > /dev/null 2>&1";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 
@@ -134,6 +139,26 @@ TEST(GoldenFigures, Fig10aPopulationTimeline) {
 // windows; the golden pins the emergent utilization pathway end to end.
 TEST(GoldenFigures, Fig12WeeklyBoxes) {
   check_golden({"bench_fig12_snowflake_monitor", "", {"fig12_weekly.csv"}});
+}
+
+// Fig 3 and Fig 4 fetch over bespoke shared-bridge stacks, outside the
+// sharded engine.
+TEST(GoldenFigures, Fig3FixedCircuit) {
+  check_golden({"bench_fig3_fixed_circuit", "",
+                {"fig3a_boxes.csv", "fig3b_ecdf.csv"}, kBasicArgs});
+}
+
+TEST(GoldenFigures, Fig4FixedGuard) {
+  check_golden({"bench_fig4_fixed_guard", "", {"fig4_per_site.csv"},
+                kBasicArgs});
+}
+
+// The four ablations drive Campaign directly on hand-built stacks.
+TEST(GoldenFigures, Ablations) {
+  check_golden({"bench_ablations", "",
+                {"ablation_guard_load.csv", "ablation_dnstt_cap.csv",
+                 "ablation_camoufler_rate.csv", "ablation_snowflake_churn.csv"},
+                kBasicArgs});
 }
 
 }  // namespace

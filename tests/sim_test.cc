@@ -170,6 +170,59 @@ TEST(EventLoop, RunUntilDonePredicate) {
   EXPECT_EQ(count, 42);
 }
 
+TEST(EventLoop, AwaitReturnsReportedValueAtReportingEvent) {
+  EventLoop loop;
+  int later = 0;
+  loop.schedule(from_seconds(5), [&] { ++later; });
+  int value = loop.await<int>([&](auto done) {
+    loop.schedule(from_seconds(3), [done] { done(42); });
+  });
+  EXPECT_EQ(value, 42);
+  EXPECT_EQ(loop.now().ns, from_seconds(3).count());
+  EXPECT_EQ(loop.events_executed(), 1u);
+  EXPECT_EQ(later, 0);
+  EXPECT_TRUE(loop.pending());
+}
+
+TEST(EventLoop, AwaitAcceptsReportInsideStart) {
+  EventLoop loop;
+  std::string value = loop.await<std::string>(
+      [](const std::function<void(std::string)>& done) { done("now"); });
+  EXPECT_EQ(value, "now");
+  EXPECT_EQ(loop.events_executed(), 0u);
+}
+
+TEST(EventLoop, AwaitThrowsWhenQueueDrainsWithoutReport) {
+  EventLoop loop;
+  int ran = 0;
+  loop.schedule(from_millis(1), [&] { ++ran; });
+  EXPECT_THROW(loop.await<int>([](auto) {}), std::logic_error);
+  EXPECT_EQ(ran, 1);
+  EXPECT_FALSE(loop.pending());
+}
+
+TEST(EventLoop, IdleAdvancesExactlyGapWithOneEvent) {
+  EventLoop loop;
+  loop.schedule(from_seconds(1), [] {});
+  loop.run();
+  std::size_t before = loop.events_executed();
+  loop.idle(from_seconds(2));
+  EXPECT_EQ(loop.now().ns, from_seconds(3).count());
+  EXPECT_EQ(loop.events_executed(), before + 1);
+  EXPECT_FALSE(loop.pending());
+
+  // Events due inside the gap run; events past it stay queued.
+  int inside = 0, past = 0;
+  loop.schedule(from_millis(500), [&] { ++inside; });
+  loop.schedule(from_seconds(2), [&] { ++past; });
+  loop.idle(from_seconds(1));
+  EXPECT_EQ(loop.now().ns, from_seconds(4).count());
+  EXPECT_EQ(loop.events_executed(), before + 3);
+  EXPECT_EQ(inside, 1);
+  EXPECT_EQ(past, 0);
+  EXPECT_TRUE(loop.pending());
+}
+
 TEST(EventLoop, StepSingleEvent) {
   EventLoop loop;
   int count = 0;

@@ -9,9 +9,9 @@
 #
 # Two phases:
 #   1. Base goldens at --repeats 1 (the pre-ensemble behaviour), including
-#      fig10a's population-emitted timeline, fig12's weekly boxes, and the
+#      fig10a's population-emitted timeline, fig12's weekly boxes, the
 #      figures derived from another sweep (Table 10 from fig2a, Fig 11
-#      from fig2b). Before
+#      from fig2b), and fig3, fig4 and the ablations. Before
 #      replacing anything, each output is diffed against the checked-in
 #      golden: a drift means the single-run pipeline changed, which the
 #      ensemble layer alone must never do. The script aborts on drift
@@ -34,19 +34,22 @@ DRIFTED=0
 # Phase 1: base goldens, pinned to --repeats 1. Verify before replacing.
 # One bench invocation can own several goldens: arguments starting with
 # `--` are bench flags (consumed with their value), everything else is a
-# CSV the run produced.
+# CSV the run produced. Benches that drive Campaign directly refuse
+# --jobs/--repeats, so they run on --scale/--seed alone.
+BASIC_BENCHES=" bench_fig3_fixed_circuit bench_fig4_fixed_guard bench_ablations "
 BASE_CSVS=()
 run_base() {
   local bench="$1"
   shift
-  local flags=() csvs=()
+  local flags=() csvs=() engine=(--jobs 2 --repeats 1)
+  case "$BASIC_BENCHES" in *" $bench "*) engine=() ;; esac
   while [ "$#" -gt 0 ]; do
     case "$1" in
       --*) flags+=("$1" "$2"); shift 2 ;;
       *) csvs+=("$1"); shift ;;
     esac
   done
-  "$ROOT/$BUILD/bench/$bench" --scale 0.05 --seed 1 --jobs 2 --repeats 1 \
+  "$ROOT/$BUILD/bench/$bench" --scale 0.05 --seed 1 "${engine[@]}" \
     --out "$TMP" "${flags[@]}" > /dev/null
   local csv
   for csv in "${csvs[@]}"; do
@@ -72,6 +75,10 @@ run_base bench_fig8_reliability fig8a_outcomes.csv --faults paper --retries 1
 run_base bench_fig9_overhead fig9_overhead.csv
 run_base bench_fig10_snowflake_load fig10a_timeline.csv fig10b_boxes.csv
 run_base bench_fig12_snowflake_monitor fig12_weekly.csv
+run_base bench_fig3_fixed_circuit fig3a_boxes.csv fig3b_ecdf.csv
+run_base bench_fig4_fixed_guard fig4_per_site.csv
+run_base bench_ablations ablation_guard_load.csv ablation_dnstt_cap.csv \
+  ablation_camoufler_rate.csv ablation_snowflake_churn.csv
 
 if [ "$DRIFTED" -ne 0 ] && [ "${ALLOW_DRIFT:-0}" != "1" ]; then
   echo "" >&2
