@@ -4,10 +4,12 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
 #include "crypto/dispatch.h"
+#include "population/contention.h"
 #include "trace/export.h"
 #include "util/strings.h"
 
@@ -50,16 +52,16 @@ struct HelpLine {
 };
 
 constexpr HelpLine kHelp[] = {
-    {flag::kBasic, "--seed N  --scale X (workload multiplier)  --out DIR"},
-    {flag::kBasic, "--verbose (timings and the active crypto kernels)"},
+    {flag::kSeed, "--seed N"},
+    {flag::kScale, "--scale X (workload multiplier)"},
+    {0, "--out DIR  --verbose (timings and the active crypto kernels)"},
     {flag::kJobs, "--jobs N (shard threads; default: hardware concurrency,\n"
                   "          1 = single-threaded; output is identical)"},
     {flag::kRepeats,
      "--repeats N (independent campaign repetitions; N > 1\n"
      "          adds mean/stddev/ci95 ensemble CSVs; 1 is\n"
      "          byte-identical to the single-run harness)"},
-    {flag::kFaults, "--faults none|paper (injected failures)"},
-    {flag::kFaults, "--retries N (retry budget per download in fault mode)"},
+    {flag::kRetries, "--retries N (retry budget per download)"},
     {flag::kTrace, "--trace PATH (flight-recorder capture: Chrome\n"
                    "          trace_event JSON, or JSONL if PATH ends in\n"
                    "          .jsonl; never changes the measured samples)"},
@@ -109,17 +111,15 @@ BenchArgs parse_args(int argc, char** argv, unsigned supported) {
         usage_error(a + " is not supported by this bench");
       return true;
     };
-    if (a == "--seed") {
+    if (a == "--seed" && declared(flag::kSeed)) {
       number(args.seed);
-    } else if (a == "--scale") {
+    } else if (a == "--scale" && declared(flag::kScale)) {
       number(args.scale);
     } else if (a == "--out") {
       args.out_dir = next();
     } else if (a == "--verbose" || a == "-v") {
       args.verbose = true;
-    } else if (a == "--faults" && declared(flag::kFaults)) {
-      args.faults = next();
-    } else if (a == "--retries" && declared(flag::kFaults)) {
+    } else if (a == "--retries" && declared(flag::kRetries)) {
       number(args.retries);
     } else if ((a == "--jobs" || a == "-j") && declared(flag::kJobs)) {
       number(args.jobs);
@@ -148,6 +148,8 @@ BenchArgs parse_args(int argc, char** argv, unsigned supported) {
       usage_error("unknown flag " + a);
     }
   }
+  // A bench without --jobs runs on one thread, and reports that.
+  if (!(supported & flag::kJobs)) args.jobs = 1;
   if (args.scale <= 0) args.scale = 1.0;
   if (args.repeats < 1) args.repeats = 1;
   if (args.checkpoint_every < 1) args.checkpoint_every = 1;
@@ -231,7 +233,7 @@ checkpoint::Fingerprint run_fingerprint(const BenchArgs& args,
   fp.scale = args.scale;
   fp.jobs = args.effective_jobs();
   fp.repeats = args.repeats;
-  fp.flags = "faults=" + args.faults + ";retries=" + std::to_string(args.retries);
+  fp.flags = "retries=" + std::to_string(args.retries);
   if (args.monitor) {
     // --windows is deliberately absent: a resumed monitor may extend the
     // series, but changing the interval would rewrite completed windows'
@@ -334,8 +336,16 @@ stats::Table ecdf_table(
     const std::vector<std::pair<std::string, std::vector<double>>>& groups,
     const std::vector<double>& probes, const std::string& value_name) {
   std::vector<std::string> headers{"pt"};
-  for (double p : probes)
-    headers.push_back("P[" + value_name + "<=" + util::fmt_double(p, 1) + "]");
+  for (double p : probes) {
+    // The fewest decimals (at least one) that print the probe exactly, so
+    // 0.92 and 0.96 do not both read 0.9 and 1.0.
+    std::string label;
+    for (int decimals = 1; decimals <= 17; ++decimals) {
+      label = util::fmt_double(p, decimals);
+      if (std::strtod(label.c_str(), nullptr) == p) break;
+    }
+    headers.push_back("P[" + value_name + "<=" + label + "]");
+  }
   stats::Table t(headers);
   for (const auto& [label, xs] : groups) {
     if (xs.empty()) continue;
@@ -462,6 +472,76 @@ std::vector<PtId> figure_pt_order() {
 
 std::vector<std::optional<PtId>> sweep_pts() {
   return ShardedCampaign::with_vanilla(figure_pt_order());
+}
+
+EnsembleCampaignConfig download_sweep_config(const BenchArgs& args,
+                                             const std::string& figure) {
+  EnsembleCampaignConfig cfg = ensemble_config(args, figure);
+  cfg.base.scenario.tranco_sites = 2;
+  cfg.base.scenario.cbl_sites = 0;
+  cfg.base.campaign.file_reps = scaled_int(4, args.scale, 2);
+  cfg.base.configure_stack = [](Scenario&, PtStack& stack) {
+    if (stack.snowflake) population::apply_regime(*stack.snowflake, true);
+  };
+  return cfg;
+}
+
+std::vector<std::size_t> download_sweep_sizes(const BenchArgs& args) {
+  std::vector<std::size_t> sizes = workload::standard_file_sizes();
+  sizes.resize(scaled(sizes.size(), std::min(args.scale, 1.0), 1));
+  return sizes;
+}
+
+void emit_fig8(const EnsembleRuns<ReliabilitySample>& runs,
+               const BenchArgs& args, const std::string& suffix) {
+  stats::Table bars({"pt", "attempts", "complete", "partial", "failed",
+                     "complete_frac", "partial_frac", "failed_frac"});
+  std::vector<std::pair<std::string, std::vector<double>>> unreliable;
+  for (const auto& pt : sweep_pts()) {
+    std::string name = pt_label(pt);
+    std::vector<ReliabilitySample> mine = samples_of(runs.first(), name);
+    OutcomeCounts c = count_outcomes(mine);
+    auto n = static_cast<double>(c.total());
+    bars.add_row({name, std::to_string(c.total()), std::to_string(c.complete),
+                  std::to_string(c.partial), std::to_string(c.failed),
+                  util::fmt_double(c.complete / n, 2),
+                  util::fmt_double(c.partial / n, 2),
+                  util::fmt_double(c.failed / n, 2)});
+    if (name == "meek" || name == "dnstt" || name == "snowflake") {
+      std::vector<double> fractions;
+      for (const ReliabilitySample& s : mine)
+        fractions.push_back(s.result.fraction());
+      unreliable.emplace_back(name, std::move(fractions));
+    }
+  }
+
+  std::printf("\n-- Figure 8a: outcome fractions per PT --\n");
+  emit(bars, args, "fig8a_outcomes" + suffix);
+
+  std::printf("-- Figure 8b: ECDF of downloaded fraction (unreliable PTs) --\n");
+  emit(ecdf_table(unreliable, {0.1, 0.2, 0.4, 0.6, 0.8, 0.92, 0.96, 1.0},
+                  "frac"),
+       args, "fig8b_fraction_ecdf" + suffix);
+  std::printf(
+      "(paper: snowflake <40%% of the file in ~60%% of attempts; meek and\n"
+      " dnstt reach higher fractions but rarely complete)\n");
+
+  // Cross-repetition distribution of each PT's complete fraction.
+  emit_ensemble(
+      ensemble_series<ReliabilitySample>(
+          runs,
+          [](const std::vector<ReliabilitySample>& rep) {
+            std::vector<std::pair<std::string, double>> out;
+            for (const auto& pt : sweep_pts()) {
+              OutcomeCounts c = count_outcomes(samples_of(rep, pt_label(pt)));
+              if (c.total() > 0)
+                out.emplace_back(pt_label(pt),
+                                 static_cast<double>(c.complete) / c.total());
+            }
+            return out;
+          }),
+      args, "fig8_ensemble" + suffix, "complete_frac", EnsembleUnit::kFraction,
+      "tor");
 }
 
 }  // namespace ptperf::bench

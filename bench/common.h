@@ -1,5 +1,5 @@
 // Shared plumbing for the figure/table reproduction binaries: CLI args
-// (--seed, --scale, --out, --verbose, plus the flags each bench declares;
+// (--out, --verbose, plus the flags each bench declares;
 // an undeclared or unknown flag, a malformed number or an unknown
 // PTPERF_CRYPTO value exits 2), the campaign configs, and the table
 // renderers every bench uses. Each bench prints the paper's rows
@@ -31,14 +31,12 @@ struct BenchArgs {
   double scale = 1.0;
   std::string out_dir = ".";
   bool verbose = false;
-  /// Fault-injection profile ("none" or "paper"); consumed by benches
-  /// that support injected failures (fig8_reliability).
-  std::string faults = "none";
-  /// Retries per download in fault mode (RetryPolicy::max_retries).
+  /// Retries per download in fig8's fault run (RetryPolicy::max_retries).
   int retries = 0;
   /// Shard worker threads. 0 = hardware concurrency (the default);
   /// 1 = the legacy single-threaded path. Output is byte-identical for
-  /// every value — the shard plan never depends on it.
+  /// every value — the shard plan never depends on it. A bench that does
+  /// not declare --jobs runs on one thread, and parse_args sets 1.
   int jobs = 0;
   /// Independent campaign repetitions (--repeats). 1 = today's single-run
   /// figures, byte-identical to the pre-ensemble harness; N > 1 reruns the
@@ -87,22 +85,26 @@ struct BenchArgs {
 };
 
 /// Flags a bench declares to parse_args on top of the ones every bench
-/// honors (--seed, --scale, --out, --verbose, --help). A flag the bench
-/// did not declare exits 2 like an unknown one, so no binary accepts a
-/// flag it would ignore.
+/// honors (--out, --verbose, --help). A flag the bench did not declare
+/// exits 2 like an unknown one, so no binary accepts a flag it would
+/// ignore.
 namespace flag {
-inline constexpr unsigned kBasic = 0;  ///< only the flags every bench honors
+inline constexpr unsigned kSeed = 1u << 6;   ///< --seed
+inline constexpr unsigned kScale = 1u << 7;  ///< --scale
+/// A seeded workload that --scale sizes: what every figure bench honors.
+inline constexpr unsigned kBasic = kSeed | kScale;
 inline constexpr unsigned kJobs = 1u << 0;     ///< --jobs / -j
 inline constexpr unsigned kRepeats = 1u << 1;  ///< --repeats
 inline constexpr unsigned kTrace = 1u << 2;    ///< --trace, --trace-cells
 /// --checkpoint, --checkpoint-every, --resume
 inline constexpr unsigned kCheckpoint = 1u << 3;
-inline constexpr unsigned kFaults = 1u << 4;  ///< --faults, --retries
+inline constexpr unsigned kRetries = 1u << 4;  ///< --retries
 /// --monitor, --interval-hours, --windows
 inline constexpr unsigned kMonitor = 1u << 5;
 /// What a figure on the ensemble engine honors through ensemble_config()
 /// and emit_trace().
-inline constexpr unsigned kEngine = kJobs | kRepeats | kTrace | kCheckpoint;
+inline constexpr unsigned kEngine =
+    kBasic | kJobs | kRepeats | kTrace | kCheckpoint;
 }  // namespace flag
 
 /// Parses the command line against the `supported` flag set (flag::*).
@@ -137,7 +139,7 @@ EnsembleCampaignConfig ensemble_config(const BenchArgs& args,
                                        const std::string& figure);
 
 /// The run identity a snapshot of `figure` is pinned to: figure id, seed,
-/// scale, repeats, and the figure-visible flags (faults/retries, monitor
+/// scale, repeats, and the figure-visible flags (retries, monitor
 /// interval). `jobs` is recorded for provenance but not validated —
 /// output is jobs-independent, so resuming at a different pool width is
 /// supported (docs/CHECKPOINTING.md).
@@ -266,5 +268,25 @@ std::vector<PtId> figure_pt_order();
 /// figure_pt_order() preceded by vanilla Tor — the shard-plan PT list
 /// every full-sweep bench uses.
 std::vector<std::optional<PtId>> sweep_pts();
+
+/// The bulk-download sweep Figures 5 and 8 read: two Tranco sites,
+/// scaled_int(4, scale, 2) attempts per size (paper: 10 per size for
+/// Fig 5, 20 for Fig 8), and snowflake in its load-surge regime, which
+/// the paper's file campaign overlapped.
+EnsembleCampaignConfig download_sweep_config(const BenchArgs& args,
+                                             const std::string& figure);
+
+/// The sweep's file sizes: 5..100 MB, trimmed from the top when
+/// --scale < 1 so smoke runs skip the largest virtual transfers.
+std::vector<std::size_t> download_sweep_sizes(const BenchArgs& args);
+
+/// Figure 8a/8b from one reliability sweep: outcome fractions per PT
+/// (fig8a_outcomes<suffix>), the ECDF of the downloaded fraction for the
+/// three unreliable transports (fig8b_fraction_ecdf<suffix>) and, under
+/// --repeats, each PT's complete fraction across repetitions
+/// (fig8_ensemble<suffix>). fig5 emits the plain figure from its download
+/// sweep; fig8 emits the §4.6 fault run under the suffix "_faults".
+void emit_fig8(const EnsembleRuns<ReliabilitySample>& runs,
+               const BenchArgs& args, const std::string& suffix = "");
 
 }  // namespace ptperf::bench

@@ -1,9 +1,11 @@
 // Reproduces Figure 3a/3b: website access over a FIXED circuit — the same
 // host serves as vanilla-Tor guard and as private obfs4/webtunnel server,
 // and middle/exit are pinned per iteration. Expected: the three boxplots
-// are nearly identical and the paired t-tests are non-significant; the
-// ECDF of per-site |time difference| concentrates below a few seconds
-// (>80% under 5 s in the paper).
+// are nearly identical and obfs4 vs webtunnel is non-significant. Each PT
+// adds a near-constant ~0.16 s over Tor, so with the circuit pinned the
+// tor-vs-PT pairs read significant. The ECDF of per-site |time difference|
+// concentrates below a few seconds (>80% under 5 s in the paper); its
+// probes bracket the PT cost.
 #include "pt/fully_encrypted.h"
 #include "pt/tls_family.h"
 
@@ -122,11 +124,12 @@ int run(const BenchArgs& args) {
   }
   emit(boxes, args, "fig3a_boxes");
 
-  std::printf("-- paired t-tests (expect non-significant) --\n");
+  std::printf("-- paired t-tests (expect obfs4-webtunnel non-significant; "
+              "each PT adds a near-constant cost over tor) --\n");
   emit(pairwise_t_tests(groups), args, "fig3a_ttests");
 
   std::printf("-- Figure 3b: ECDF of |PT - Tor| per site access (s) --\n");
-  emit(ecdf_table({{"abs_diff", diffs_abs}}, {0.5, 1, 2, 5, 10}, "diff"),
+  emit(ecdf_table({{"abs_diff", diffs_abs}}, {0.1, 0.15, 0.2, 0.25, 0.5, 5}, "diff"),
        args, "fig3b_ecdf");
   double under5 = diffs_abs.empty() ? 0 : stats::Ecdf(diffs_abs)(5.0);
   std::printf("fraction of accesses with |diff| < 5s: %.2f (paper: >0.80)\n",

@@ -1,13 +1,14 @@
 // Reproduces Figure 5 + Appendix Table 7: file download times for 5..100 MB
-// across all transports (paper: 10 attempts each; default 3, --scale
-// grows), on the sharded engine (one shard per PT; --jobs N for the
-// wall-clock speedup, output identical). PTs that fail to complete a size
-// at least twice are excluded from the time table, exactly as the paper
-// excludes dnstt, snowflake and meek. Expected shape:
+// across all transports, and Figure 8a/8b (download reliability) from the
+// same sweep (paper: 10 attempts per size for Fig 5, 20 for Fig 8; default
+// 4, --scale grows), on the sharded engine (one shard per PT; --jobs N for
+// the wall-clock speedup, output identical). PTs that fail to complete a
+// size at least twice are excluded from the time table, exactly as the
+// paper excludes dnstt, snowflake and meek. Expected shape:
 // obfs4/cloak/psiphon/webtunnel fastest PT cluster; camoufler the slowest
-// completer; marionette pinned at the timeout.
-#include "population/contention.h"
-
+// completer; marionette pinned at the timeout. Fig 8: meek/dnstt/snowflake
+// mostly partial; the reliable cluster completes essentially everything.
+// bench_fig8_reliability reruns this sweep under the §4.6 fault plan.
 #include "common.h"
 
 namespace ptperf::bench {
@@ -16,22 +17,16 @@ namespace {
 int run(const BenchArgs& args) {
   banner("Figure 5 / Table 7", "bulk file download times", args);
 
-  EnsembleCampaignConfig ecfg = ensemble_config(args, "fig5");
-  auto& cfg = ecfg.base;
-  cfg.scenario.tranco_sites = 2;
-  cfg.scenario.cbl_sites = 0;
-  cfg.campaign.file_reps = scaled_int(3, args.scale, 2);
-  // The paper's file campaign overlapped the snowflake load surge.
-  cfg.configure_stack = [](Scenario&, PtStack& stack) {
-    if (stack.snowflake) population::apply_regime(*stack.snowflake, true);
-  };
+  EnsembleCampaignConfig ecfg = download_sweep_config(args, "fig5");
+  // Failed attempts enter the pooled comparisons at the timeout bound (the
+  // downloads effectively cost that long).
+  double timeout_s = sim::to_seconds(ecfg.base.campaign.file_timeout);
   EnsembleCampaign engine(ecfg);
 
-  // --scale < 1 also trims the size list (5..100 MB) from the top, so
-  // smoke runs are not pinned to the 100 MB virtual transfers.
-  std::vector<std::size_t> sizes = workload::standard_file_sizes();
-  sizes.resize(scaled(sizes.size(), std::min(args.scale, 1.0), 1));
-  auto runs = engine.run_file_downloads(sweep_pts(), sizes);
+  std::vector<std::size_t> sizes = download_sweep_sizes(args);
+  // Plain downloads, each attempt classified once (no retries): Fig 5
+  // reads the times, Fig 8 the outcomes.
+  auto runs = engine.run_reliability(sweep_pts(), sizes);
   const auto& samples = runs.first();
 
   std::vector<std::string> headers{"pt"};
@@ -46,20 +41,18 @@ int run(const BenchArgs& args) {
 
   for (const auto& pt : sweep_pts()) {
     std::string name = pt_label(pt);
-    std::vector<FileSample> mine = samples_of(samples, name);
+    std::vector<ReliabilitySample> mine = samples_of(samples, name);
     std::vector<std::string> row{name};
     std::vector<double> pooled;
     for (std::size_t size : sizes) {
       std::vector<double> ok;
-      for (const FileSample& s : mine) {
+      for (const ReliabilitySample& s : mine) {
         if (s.size_bytes != size) continue;
         if (s.result.success) {
           ok.push_back(s.result.elapsed());
           pooled.push_back(s.result.elapsed());
         } else {
-          // Failed attempts enter the pooled comparison at the timeout
-          // bound (the downloads effectively cost that long).
-          pooled.push_back(sim::to_seconds(cfg.campaign.file_timeout));
+          pooled.push_back(timeout_s);
         }
       }
       if (ok.size() >= 2) {
@@ -89,15 +82,14 @@ int run(const BenchArgs& args) {
 
   // Cross-repetition distribution of each PT's pooled mean download time
   // (failed attempts imputed at the timeout, as in the t-test pooling).
-  double timeout_s = sim::to_seconds(cfg.campaign.file_timeout);
-  emit_ensemble(ensemble_series<FileSample>(
+  emit_ensemble(ensemble_series<ReliabilitySample>(
                     runs,
-                    [timeout_s](const std::vector<FileSample>& rep) {
+                    [timeout_s](const std::vector<ReliabilitySample>& rep) {
                       std::vector<std::pair<std::string, double>> out;
                       for (const auto& pt : sweep_pts()) {
                         std::string name = pt_label(pt);
                         std::vector<double> pooled;
-                        for (const FileSample& s : samples_of(rep, name))
+                        for (const ReliabilitySample& s : samples_of(rep, name))
                           pooled.push_back(s.result.success
                                                ? s.result.elapsed()
                                                : timeout_s);
@@ -108,6 +100,8 @@ int run(const BenchArgs& args) {
                     }),
                 args, "fig5_ensemble", "pooled_mean_download",
                 EnsembleUnit::kSeconds, "tor");
+
+  emit_fig8(runs, args);
 
   emit_trace(engine, args);
   print_shard_timings(engine.timings(), args);

@@ -1,183 +1,44 @@
-// Reproduces Figure 8a/8b + §4.6: reliability of file downloads, on the
-// sharded engine (each shard installs the fault plan in its own world;
-// injected-fault counters merge in plan order, so counts are deterministic
-// for a seed at any --jobs).
+// Reproduces §4.6 with Figure 8a/8b: download reliability under the
+// paper's injected faults. This is the Figure 5 download sweep
+// (bench_fig5_file_download, which emits the plain Figure 8) rerun with
+// FaultPlan::paper_section_4_6() installed in every shard's world and
+// --retries redoing failed attempts over fresh circuits. Injected-fault
+// counters merge in plan order, so counts are deterministic for a seed at
+// any --jobs. Outputs carry a "_faults" suffix:
 //   8a — fraction of complete / partial / failed attempts per PT.
 //   8b — ECDF of the *fraction of the file* actually downloaded, for the
 //        three unreliable transports (meek, dnstt, snowflake).
-// Expected: meek/dnstt/snowflake mostly partial (>80%); camoufler and meek
-// show a slice of total failures; the reliable cluster (obfs4, cloak,
-// psiphon, webtunnel, shadowsocks) completes essentially everything.
-#include "population/contention.h"
-
 #include "common.h"
 
 namespace ptperf::bench {
 namespace {
 
 int run(const BenchArgs& args) {
-  banner("Figure 8a/8b / §4.6", "download reliability", args);
+  banner("Figure 8a/8b / §4.6", "download reliability under injected faults",
+         args);
+  std::printf("   fault profile: paper (§4.6), retries=%d\n\n", args.retries);
 
-  bool inject = false;
-  if (args.faults != "none" && !args.faults.empty()) {
-    if (args.faults != "paper") {
-      std::fprintf(stderr, "unknown --faults profile '%s' (none|paper)\n",
-                   args.faults.c_str());
-      return 2;
-    }
-    inject = true;
-    std::printf("   fault profile: paper (§4.6), retries=%d\n\n",
-                args.retries);
-  }
-
-  EnsembleCampaignConfig ecfg = ensemble_config(args, "fig8");
-  auto& cfg = ecfg.base;
-  cfg.scenario.tranco_sites = 2;
-  cfg.scenario.cbl_sites = 0;
-  cfg.campaign.file_reps = scaled_int(4, args.scale, 2);  // paper: 20/size
-  if (inject) {
-    cfg.configure_scenario = [](Scenario& scenario) {
-      scenario.install_fault_plan(fault::FaultPlan::paper_section_4_6());
-    };
-  }
-  cfg.configure_stack = [](Scenario&, PtStack& stack) {
-    if (stack.snowflake) population::apply_regime(*stack.snowflake, true);
+  EnsembleCampaignConfig ecfg = download_sweep_config(args, "fig8");
+  ecfg.base.configure_scenario = [](Scenario& scenario) {
+    scenario.install_fault_plan(fault::FaultPlan::paper_section_4_6());
   };
   EnsembleCampaign engine(ecfg);
 
-  // As in fig5, --scale < 1 trims the size list from the top so smoke
-  // runs (e.g. the CI TSan job) skip the largest virtual transfers.
-  std::vector<std::size_t> sizes = workload::standard_file_sizes();
-  sizes.resize(scaled(sizes.size(), std::min(args.scale, 1.0), 1));
+  RetryPolicy retry;
+  retry.max_retries = args.retries;
+  emit_fig8(engine.run_reliability(sweep_pts(), download_sweep_sizes(args),
+                                   retry),
+            args, "_faults");
 
-  stats::Table bars({"pt", "attempts", "complete", "partial", "failed",
-                     "complete_frac", "partial_frac", "failed_frac"});
-  std::vector<std::pair<std::string, std::vector<double>>> fraction_groups;
-
-  // Outcomes per PT, either from the retrying reliability campaign (fault
-  // mode) or from plain downloads classified after the fact.
-  EnsembleRuns<ReliabilitySample> reliability_runs;
-  EnsembleRuns<FileSample> plain_runs;
-  if (inject) {
-    RetryPolicy retry;
-    retry.max_retries = args.retries;
-    reliability_runs = engine.run_reliability(sweep_pts(), sizes, retry);
-  } else {
-    plain_runs = engine.run_file_downloads(sweep_pts(), sizes);
+  std::printf("\n-- Injected faults (deterministic for this seed) --\n");
+  stats::Table injected({"fault", "count"});
+  for (int k = 0; k < static_cast<int>(fault::FaultKind::kCount_); ++k) {
+    auto kind = static_cast<fault::FaultKind>(k);
+    if (engine.injected_faults(kind) == 0) continue;
+    injected.add_row({std::string(fault::fault_kind_name(kind)),
+                      std::to_string(engine.injected_faults(kind))});
   }
-  static const std::vector<ReliabilitySample> kNoReliability;
-  static const std::vector<FileSample> kNoPlain;
-  const std::vector<ReliabilitySample>& reliability =
-      inject ? reliability_runs.first() : kNoReliability;
-  const std::vector<FileSample>& plain =
-      inject ? kNoPlain : plain_runs.first();
-
-  for (const auto& pt : sweep_pts()) {
-    std::string name = pt_label(pt);
-    int complete = 0, partial = 0, failed = 0;
-    std::size_t n_samples = 0;
-    std::vector<double> fractions;
-    if (inject) {
-      for (const ReliabilitySample& s : samples_of(reliability, name)) {
-        switch (s.outcome) {
-          case DownloadOutcome::kComplete: ++complete; break;
-          case DownloadOutcome::kPartial: ++partial; break;
-          case DownloadOutcome::kFailed: ++failed; break;
-        }
-        fractions.push_back(s.result.fraction());
-        ++n_samples;
-      }
-    } else {
-      for (const FileSample& s : samples_of(plain, name)) {
-        switch (classify(s.result)) {
-          case DownloadOutcome::kComplete: ++complete; break;
-          case DownloadOutcome::kPartial: ++partial; break;
-          case DownloadOutcome::kFailed: ++failed; break;
-        }
-        fractions.push_back(s.result.fraction());
-        ++n_samples;
-      }
-    }
-    auto n = static_cast<double>(n_samples);
-    bars.add_row({name, std::to_string(n_samples), std::to_string(complete),
-                  std::to_string(partial), std::to_string(failed),
-                  util::fmt_double(complete / n, 2),
-                  util::fmt_double(partial / n, 2),
-                  util::fmt_double(failed / n, 2)});
-    fraction_groups.emplace_back(name, std::move(fractions));
-  }
-
-  std::printf("\n-- Figure 8a: outcome fractions per PT --\n");
-  emit(bars, args, "fig8a_outcomes");
-
-  std::printf("-- Figure 8b: ECDF of downloaded fraction (unreliable PTs) --\n");
-  std::vector<std::pair<std::string, std::vector<double>>> unreliable;
-  for (auto& [name, xs] : fraction_groups) {
-    if (name == "meek" || name == "dnstt" || name == "snowflake")
-      unreliable.emplace_back(name, xs);
-  }
-  emit(ecdf_table(unreliable, {0.1, 0.2, 0.4, 0.6, 0.8, 0.92, 0.96, 1.0},
-                  "frac"),
-       args, "fig8b_fraction_ecdf");
-  std::printf(
-      "(paper: snowflake <40%% of the file in ~60%% of attempts; meek and\n"
-      " dnstt reach higher fractions but rarely complete)\n");
-
-  // Cross-repetition distribution of each PT's complete fraction.
-  if (inject) {
-    emit_ensemble(
-        ensemble_series<ReliabilitySample>(
-            reliability_runs,
-            [](const std::vector<ReliabilitySample>& rep) {
-              std::vector<std::pair<std::string, double>> out;
-              for (const auto& pt : sweep_pts()) {
-                std::string name = pt_label(pt);
-                int complete = 0, total = 0;
-                for (const ReliabilitySample& s : samples_of(rep, name)) {
-                  if (s.outcome == DownloadOutcome::kComplete) ++complete;
-                  ++total;
-                }
-                if (total > 0)
-                  out.emplace_back(name, static_cast<double>(complete) / total);
-              }
-              return out;
-            }),
-        args, "fig8_ensemble", "complete_frac", EnsembleUnit::kFraction,
-        "tor");
-  } else {
-    emit_ensemble(
-        ensemble_series<FileSample>(
-            plain_runs,
-            [](const std::vector<FileSample>& rep) {
-              std::vector<std::pair<std::string, double>> out;
-              for (const auto& pt : sweep_pts()) {
-                std::string name = pt_label(pt);
-                int complete = 0, total = 0;
-                for (const FileSample& s : samples_of(rep, name)) {
-                  if (classify(s.result) == DownloadOutcome::kComplete)
-                    ++complete;
-                  ++total;
-                }
-                if (total > 0)
-                  out.emplace_back(name, static_cast<double>(complete) / total);
-              }
-              return out;
-            }),
-        args, "fig8_ensemble", "complete_frac", EnsembleUnit::kFraction,
-        "tor");
-  }
-
-  if (inject) {
-    std::printf("\n-- Injected faults (deterministic for this seed) --\n");
-    stats::Table injected({"fault", "count"});
-    for (int k = 0; k < static_cast<int>(fault::FaultKind::kCount_); ++k) {
-      auto kind = static_cast<fault::FaultKind>(k);
-      if (engine.injected_faults(kind) == 0) continue;
-      injected.add_row({std::string(fault::fault_kind_name(kind)),
-                        std::to_string(engine.injected_faults(kind))});
-    }
-    emit(injected, args, "fig8_injected_faults");
-  }
+  emit(injected, args, "fig8_injected_faults");
   emit_trace(engine, args);
   print_shard_timings(engine.timings(), args);
   return 0;
@@ -189,5 +50,5 @@ int run(const BenchArgs& args) {
 int main(int argc, char** argv) {
   namespace b = ptperf::bench;
   return b::run(
-      b::parse_args(argc, argv, b::flag::kEngine | b::flag::kFaults));
+      b::parse_args(argc, argv, b::flag::kEngine | b::flag::kRetries));
 }

@@ -56,5 +56,6 @@ int run(const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   namespace b = ptperf::bench;
-  return b::run(b::parse_args(argc, argv, b::flag::kBasic));
+  // The overview is arithmetic on the campaign sizes: nothing is seeded.
+  return b::run(b::parse_args(argc, argv, b::flag::kScale));
 }

@@ -34,5 +34,6 @@ int run(const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   namespace b = ptperf::bench;
-  return b::run(b::parse_args(argc, argv, b::flag::kBasic));
+  // A fixed inventory: nothing to seed or scale.
+  return b::run(b::parse_args(argc, argv, 0));
 }

@@ -384,14 +384,29 @@ TEST(BenchFlags, UndeclaredFlagsExitTwo) {
     EXPECT_EQ(run_bench("bench_table2_inventory", std::string(flag) + to), 2)
         << flag;
   }
-  // Only fig8 injects faults; only fig12 has a monitor mode.
+  // fig8 always injects the §4.6 faults, so --faults is gone everywhere;
+  // only fig8 retries, and only fig12 has a monitor mode.
   EXPECT_EQ(run_bench(kFig5, "--faults paper" + to), 2);
+  EXPECT_EQ(run_bench("bench_fig8_reliability", "--faults paper" + to), 2);
+  EXPECT_EQ(run_bench(kFig5, "--retries 1" + to), 2);
   EXPECT_EQ(run_bench(kFig5, "--windows 3" + to), 2);
+  // A fixed inventory has nothing to seed or scale, and the campaign
+  // overview nothing to seed.
+  EXPECT_EQ(run_bench("bench_table2_inventory", "--seed 3" + to), 2);
+  EXPECT_EQ(run_bench("bench_table2_inventory", "--scale 0.5" + to), 2);
+  EXPECT_EQ(run_bench("bench_table1_overview", "--seed 3" + to), 2);
+  // fig12 outside --monitor runs one hand-built world.
+  for (const char* flag : {"--jobs 2", "--repeats 2"}) {
+    EXPECT_EQ(run_bench("bench_fig12_snowflake_monitor",
+                        std::string("--scale 0.05 --seed 1 ") + flag + to),
+              2)
+        << flag;
+  }
   // The flags every bench honors still work.
-  EXPECT_EQ(run_bench("bench_table2_inventory", "--seed 3 --verbose" + to), 0);
-  EXPECT_EQ(run_bench("bench_table2_inventory", "--seed 3" + to,
-                      "PTPERF_CRYPTO=scalar"),
+  EXPECT_EQ(run_bench("bench_table2_inventory", "--verbose" + to), 0);
+  EXPECT_EQ(run_bench("bench_table2_inventory", to, "PTPERF_CRYPTO=scalar"),
             0);
+  EXPECT_EQ(run_bench("bench_table1_overview", "--scale 0.5" + to), 0);
 }
 
 TEST(CheckpointBench, MonitorResumeExtendsTheWindowSeriesByteIdentically) {

@@ -391,7 +391,7 @@ checkpoint::Fingerprint test_fp() {
   fp.scale = 0.05;
   fp.jobs = 2;
   fp.repeats = 3;
-  fp.flags = "faults=none;retries=0";
+  fp.flags = "retries=0";
   return fp;
 }
 
@@ -458,7 +458,7 @@ TEST(Store, EveryFingerprintFieldExceptJobsIsValidated) {
   fp.repeats = 1;
   expect_refused(fp, "repeats");
   fp = test_fp();
-  fp.flags = "faults=paper;retries=2";
+  fp.flags = "retries=2";
   expect_refused(fp, "flags");
   // jobs is provenance only: resuming at a different pool width is the
   // documented, supported path (output is jobs-independent).

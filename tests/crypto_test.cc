@@ -271,8 +271,9 @@ TEST(CryptoDispatch, SelectionRule) {
               detail::cpu_has_sha_ni());
     EXPECT_EQ(k.chacha20_xor == detail::chacha20_xor_avx2,
               detail::cpu_has_avx2());
-    if (detail::cpu_has_sha_ni() && detail::cpu_has_avx2())
+    if (detail::cpu_has_sha_ni() && detail::cpu_has_avx2()) {
       EXPECT_EQ(k.names(), "sha-ni,avx2");
+    }
   }
   for (const char* bad : {"", "bogus", "AVX2", "Scalar", "scalar "})
     EXPECT_THROW(detail::select_kernels(bad), std::invalid_argument) << bad;

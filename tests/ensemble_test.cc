@@ -220,7 +220,8 @@ TEST(EnsembleCampaignTest, JobsDoNotChangeAnyRepetition) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end through the fig5 bench binary (the acceptance-criteria checks)
+// End-to-end through the figure bench binaries (the acceptance-criteria
+// checks)
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -258,52 +259,8 @@ class TempDir {
   std::string dir_;
 };
 
-/// Runs bench_fig5_file_download with the golden-suite base flags plus
-/// `extra`, writing CSVs into `out`.
-void run_fig5(const std::string& extra, const std::string& out) {
-  std::string cmd = std::string(BENCH_DIR) +
-                    "/bench_fig5_file_download --scale 0.05 --seed 1 " +
-                    extra + " --out '" + out + "' > /dev/null 2>&1";
-  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
-}
-
-TEST(EnsembleGolden, ExplicitRepeatsOneMatchesBaseGolden) {
-  // Passing --repeats 1 explicitly must be byte-identical to the pre-flag
-  // behaviour captured in tests/golden/fig5_times.csv, and must not emit
-  // any ensemble CSV at all.
-  TempDir tmp;
-  ASSERT_FALSE(tmp.path().empty());
-  run_fig5("--jobs 2 --repeats 1", tmp.path());
-  EXPECT_EQ(strip_comments(read_file(tmp.path() + "/fig5_times.csv")),
-            strip_comments(read_file(std::string(GOLDEN_DIR) +
-                                     "/fig5_times.csv")));
-  std::ifstream ensemble_csv(tmp.path() + "/fig5_ensemble.csv");
-  EXPECT_FALSE(ensemble_csv.good())
-      << "--repeats 1 must not emit ensemble CSVs";
-}
-
-TEST(EnsembleGolden, RepeatsThreeMatchesEnsembleGoldens) {
-  TempDir tmp;
-  ASSERT_FALSE(tmp.path().empty());
-  run_fig5("--jobs 2 --repeats 3", tmp.path());
-  for (const char* csv : {"fig5_ensemble.csv", "fig5_ensemble_paired.csv"}) {
-    std::string produced = strip_comments(read_file(tmp.path() + "/" + csv));
-    std::string golden =
-        strip_comments(read_file(std::string(GOLDEN_DIR) + "/" + csv));
-    ASSERT_FALSE(produced.empty()) << csv << " is empty";
-    EXPECT_EQ(produced, golden)
-        << csv << " drifted from tests/golden/. If intended, regenerate "
-        << "with tools/regen_golden.sh and commit the diff.";
-  }
-  // The single-run table must be untouched by extra repetitions:
-  // repetition 0 is the base campaign.
-  EXPECT_EQ(strip_comments(read_file(tmp.path() + "/fig5_times.csv")),
-            strip_comments(read_file(std::string(GOLDEN_DIR) +
-                                     "/fig5_times.csv")));
-}
-
-/// Runs an arbitrary figure bench with the golden-suite base flags plus
-/// `extra`, writing CSVs into `out`.
+/// Runs a figure bench with the golden-suite base flags plus `extra`,
+/// writing CSVs into `out`.
 void run_bench(const std::string& bench, const std::string& extra,
                const std::string& out) {
   std::string cmd = std::string(BENCH_DIR) + "/" + bench +
@@ -312,86 +269,66 @@ void run_bench(const std::string& bench, const std::string& extra,
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 }
 
+std::string golden(const char* csv) {
+  return strip_comments(read_file(std::string(GOLDEN_DIR) + "/" + csv));
+}
+
 struct EnsembleFigure {
   const char* bench;
-  const char* base_csv;
-  const char* ensemble_csv;
-  const char* paired_csv;
-  const char* extra = "";  // per-figure flags (e.g. fig8's fault profile)
+  /// Single-run tables: built from repetition 0 at any --repeats.
+  std::vector<const char*> base_csvs;
+  /// Cross-repetition tables: emitted only under --repeats > 1.
+  std::vector<const char*> ensemble_csvs;
+  const char* extra = "";  // per-figure flags (e.g. fig8's retry budget)
 };
 
-class EnsembleGoldenFigures
-    : public ::testing::TestWithParam<EnsembleFigure> {};
+// Names the parameter in test listings by its bench, not its bytes.
+void PrintTo(const EnsembleFigure& fig, std::ostream* os) { *os << fig.bench; }
 
-TEST_P(EnsembleGoldenFigures, RepeatsThreeMatchesEnsembleGoldens) {
-  const EnsembleFigure& fig = GetParam();
+void expect_repeats_three_match_goldens(const EnsembleFigure& fig) {
   TempDir tmp;
   ASSERT_FALSE(tmp.path().empty());
   run_bench(fig.bench, std::string("--jobs 2 --repeats 3 ") + fig.extra,
             tmp.path());
-  for (const char* csv : {fig.ensemble_csv, fig.paired_csv}) {
+  for (const char* csv : fig.ensemble_csvs) {
     std::string produced = strip_comments(read_file(tmp.path() + "/" + csv));
-    std::string golden =
-        strip_comments(read_file(std::string(GOLDEN_DIR) + "/" + csv));
     ASSERT_FALSE(produced.empty()) << csv << " is empty";
-    EXPECT_EQ(produced, golden)
+    EXPECT_EQ(produced, golden(csv))
         << csv << " drifted from tests/golden/. If intended, regenerate "
         << "with tools/regen_golden.sh and commit the diff.";
   }
-  // Repetition 0 is the base campaign: the single-run table must be
+  // Repetition 0 is the base campaign: the single-run tables must be
   // untouched by extra repetitions.
-  EXPECT_EQ(strip_comments(read_file(tmp.path() + "/" + fig.base_csv)),
-            strip_comments(read_file(std::string(GOLDEN_DIR) + "/" +
-                                     fig.base_csv)));
+  for (const char* csv : fig.base_csvs)
+    EXPECT_EQ(strip_comments(read_file(tmp.path() + "/" + csv)), golden(csv))
+        << csv;
 }
 
-TEST_P(EnsembleGoldenFigures, RepeatsOneMatchesBaseGoldenAndEmitsNoEnsemble) {
-  const EnsembleFigure& fig = GetParam();
+void expect_repeats_one_matches_base_goldens(const EnsembleFigure& fig) {
+  // Passing --repeats 1 explicitly must be byte-identical to the base
+  // goldens, and must not emit any ensemble CSV at all.
   TempDir tmp;
   ASSERT_FALSE(tmp.path().empty());
   run_bench(fig.bench, std::string("--jobs 2 --repeats 1 ") + fig.extra,
             tmp.path());
-  EXPECT_EQ(strip_comments(read_file(tmp.path() + "/" + fig.base_csv)),
-            strip_comments(read_file(std::string(GOLDEN_DIR) + "/" +
-                                     fig.base_csv)));
-  std::ifstream ensemble_csv(tmp.path() + "/" + fig.ensemble_csv);
-  EXPECT_FALSE(ensemble_csv.good())
-      << "--repeats 1 must not emit ensemble CSVs";
+  for (const char* csv : fig.base_csvs)
+    EXPECT_EQ(strip_comments(read_file(tmp.path() + "/" + csv)), golden(csv))
+        << csv;
+  for (const char* csv : fig.ensemble_csvs) {
+    std::ifstream ensemble_csv(tmp.path() + "/" + csv);
+    EXPECT_FALSE(ensemble_csv.good())
+        << "--repeats 1 must not emit ensemble CSVs: " << csv;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    GoldenFigures, EnsembleGoldenFigures,
-    ::testing::Values(
-        EnsembleFigure{"bench_fig2a_website_curl", "fig2a_boxes.csv",
-                       "fig2a_ensemble.csv", "fig2a_ensemble_paired.csv"},
-        EnsembleFigure{"bench_fig2b_website_selenium", "fig2b_boxes.csv",
-                       "fig2b_ensemble.csv", "fig2b_ensemble_paired.csv"},
-        EnsembleFigure{"bench_fig6_ttfb", "fig6_ttfb_ecdf.csv",
-                       "fig6_ensemble.csv", "fig6_ensemble_paired.csv"},
-        EnsembleFigure{"bench_fig8_reliability", "fig8a_outcomes.csv",
-                       "fig8_ensemble.csv", "fig8_ensemble_paired.csv",
-                       "--faults paper --retries 1"},
-        EnsembleFigure{"bench_fig9_overhead", "fig9_overhead.csv",
-                       "fig9_ensemble.csv", "fig9_ensemble_paired.csv"},
-        EnsembleFigure{"bench_fig10_snowflake_load", "fig10b_boxes.csv",
-                       "fig10_ensemble.csv", "fig10_ensemble_paired.csv"}),
-    [](const ::testing::TestParamInfo<EnsembleFigure>& info) {
-      return std::string(info.param.bench);
-    });
-
-TEST(EnsembleGolden, EnsembleCsvIsByteIdenticalAcrossJobCounts) {
-  // fig7 runs nine client x server campaigns off one config.
-  const std::vector<std::pair<const char*, std::vector<const char*>>> cases =
-      {{"bench_fig5_file_download",
-        {"fig5_times.csv", "fig5_ensemble.csv", "fig5_ensemble_paired.csv"}},
-       {"bench_fig7_location", {"fig7_location.csv", "fig7_ensemble.csv"}}};
-  for (const auto& [bench, csvs] : cases) {
-    TempDir seq, par;
-    ASSERT_FALSE(seq.path().empty());
-    ASSERT_FALSE(par.path().empty());
-    run_bench(bench, "--jobs 1 --repeats 3", seq.path());
-    run_bench(bench, "--jobs 4 --repeats 3", par.path());
-    for (const char* csv : csvs) {
+void expect_csvs_identical_across_job_counts(const EnsembleFigure& fig) {
+  TempDir seq, par;
+  ASSERT_FALSE(seq.path().empty());
+  ASSERT_FALSE(par.path().empty());
+  run_bench(fig.bench, "--jobs 1 --repeats 3", seq.path());
+  run_bench(fig.bench, "--jobs 4 --repeats 3", par.path());
+  for (const auto* csvs : {&fig.base_csvs, &fig.ensemble_csvs}) {
+    for (const char* csv : *csvs) {
       std::string a = strip_comments(read_file(seq.path() + "/" + csv));
       std::string b = strip_comments(read_file(par.path() + "/" + csv));
       ASSERT_FALSE(a.empty()) << csv << " is empty";
@@ -399,6 +336,73 @@ TEST(EnsembleGolden, EnsembleCsvIsByteIdenticalAcrossJobCounts) {
     }
   }
 }
+
+// fig5's download sweep also feeds Figure 8. fig5 is the slowest figure,
+// so its cases are plain tests rather than parameters: ctest records no
+// cost for a parameterized name (its " # GetParam()" suffix), so those
+// always start last, while plain tests start in order of measured cost.
+const EnsembleFigure kFig5{
+    "bench_fig5_file_download",
+    {"fig5_times.csv", "fig8a_outcomes.csv", "fig8b_fraction_ecdf.csv"},
+    {"fig5_ensemble.csv", "fig5_ensemble_paired.csv", "fig8_ensemble.csv",
+     "fig8_ensemble_paired.csv"}};
+
+TEST(EnsembleGolden, ExplicitRepeatsOneMatchesBaseGolden) {
+  expect_repeats_one_matches_base_goldens(kFig5);
+}
+
+TEST(EnsembleGolden, RepeatsThreeMatchesEnsembleGoldens) {
+  expect_repeats_three_match_goldens(kFig5);
+}
+
+// One case per bench, so ctest runs them side by side.
+TEST(EnsembleGolden, EnsembleCsvIsByteIdenticalAcrossJobCounts) {
+  expect_csvs_identical_across_job_counts(kFig5);
+}
+
+// fig7 runs nine client x server campaigns off one config.
+TEST(EnsembleGolden, Fig7CsvIsByteIdenticalAcrossJobCounts) {
+  expect_csvs_identical_across_job_counts(
+      {"bench_fig7_location", {"fig7_location.csv"}, {"fig7_ensemble.csv"}});
+}
+
+class EnsembleGoldenFigures
+    : public ::testing::TestWithParam<EnsembleFigure> {};
+
+TEST_P(EnsembleGoldenFigures, RepeatsThreeMatchesEnsembleGoldens) {
+  expect_repeats_three_match_goldens(GetParam());
+}
+
+TEST_P(EnsembleGoldenFigures, RepeatsOneMatchesBaseGoldenAndEmitsNoEnsemble) {
+  expect_repeats_one_matches_base_goldens(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GoldenFigures, EnsembleGoldenFigures,
+    ::testing::Values(
+        EnsembleFigure{"bench_fig2a_website_curl",
+                       {"fig2a_boxes.csv"},
+                       {"fig2a_ensemble.csv", "fig2a_ensemble_paired.csv"}},
+        EnsembleFigure{"bench_fig2b_website_selenium",
+                       {"fig2b_boxes.csv"},
+                       {"fig2b_ensemble.csv", "fig2b_ensemble_paired.csv"}},
+        EnsembleFigure{"bench_fig6_ttfb",
+                       {"fig6_ttfb_ecdf.csv"},
+                       {"fig6_ensemble.csv", "fig6_ensemble_paired.csv"}},
+        EnsembleFigure{"bench_fig8_reliability",
+                       {"fig8a_outcomes_faults.csv"},
+                       {"fig8_ensemble_faults.csv",
+                        "fig8_ensemble_faults_paired.csv"},
+                       "--retries 1"},
+        EnsembleFigure{"bench_fig9_overhead",
+                       {"fig9_overhead.csv"},
+                       {"fig9_ensemble.csv", "fig9_ensemble_paired.csv"}},
+        EnsembleFigure{"bench_fig10_snowflake_load",
+                       {"fig10b_boxes.csv"},
+                       {"fig10_ensemble.csv", "fig10_ensemble_paired.csv"}}),
+    [](const ::testing::TestParamInfo<EnsembleFigure>& info) {
+      return std::string(info.param.bench);
+    });
 
 }  // namespace
 }  // namespace ptperf

@@ -23,7 +23,8 @@
 namespace {
 
 /// Flags shared by the engine figures, and by the benches that drive
-/// Campaign directly and so refuse --jobs (flag::kBasic).
+/// Campaign directly (or fig12 outside --monitor) and so refuse --jobs
+/// (flag::kBasic).
 constexpr const char* kEngineArgs = "--scale 0.05 --seed 1 --jobs 2";
 constexpr const char* kBasicArgs = "--scale 0.05 --seed 1";
 
@@ -106,8 +107,11 @@ TEST(GoldenFigures, Fig11SpeedIndexFromFig2b) {
                 {"fig11_speed_index.csv"}});
 }
 
+// Fig 8 (reliability) is derived from fig5's download sweep.
 TEST(GoldenFigures, Fig5FileDownload) {
-  check_golden({"bench_fig5_file_download", "", {"fig5_times.csv"}});
+  check_golden({"bench_fig5_file_download", "",
+                {"fig5_times.csv", "fig8a_outcomes.csv",
+                 "fig8b_fraction_ecdf.csv"}});
 }
 
 TEST(GoldenFigures, Fig6Ttfb) {
@@ -123,9 +127,10 @@ TEST(GoldenFigures, MediumChange) {
   check_golden({"bench_medium_change", "", {"medium_change.csv"}});
 }
 
+// fig8 is the §4.6 fault-injected rerun of fig5's sweep.
 TEST(GoldenFigures, Fig8Reliability) {
-  check_golden({"bench_fig8_reliability", "--faults paper --retries 1",
-                {"fig8a_outcomes.csv"}});
+  check_golden({"bench_fig8_reliability", "--retries 1",
+                {"fig8a_outcomes_faults.csv"}});
 }
 
 // fig10a's timeline is emitted by the population engine (weekly aggregates
@@ -137,8 +142,10 @@ TEST(GoldenFigures, Fig10aPopulationTimeline) {
 
 // fig12's weekly boxes sample the same population trajectory at weekly
 // windows; the golden pins the emergent utilization pathway end to end.
+// Outside --monitor, fig12 runs one hand-built world and refuses --jobs.
 TEST(GoldenFigures, Fig12WeeklyBoxes) {
-  check_golden({"bench_fig12_snowflake_monitor", "", {"fig12_weekly.csv"}});
+  check_golden({"bench_fig12_snowflake_monitor", "", {"fig12_weekly.csv"},
+                kBasicArgs});
 }
 
 // Fig 3 and Fig 4 fetch over bespoke shared-bridge stacks, outside the

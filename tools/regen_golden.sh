@@ -11,13 +11,15 @@
 #   1. Base goldens at --repeats 1 (the pre-ensemble behaviour), including
 #      fig10a's population-emitted timeline, fig12's weekly boxes, the
 #      figures derived from another sweep (Table 10 from fig2a, Fig 11
-#      from fig2b), and fig3, fig4 and the ablations. Before
+#      from fig2b, Fig 8 from fig5), fig8's §4.6 fault run, and fig3,
+#      fig4 and the ablations. Before
 #      replacing anything, each output is diffed against the checked-in
 #      golden: a drift means the single-run pipeline changed, which the
 #      ensemble layer alone must never do. The script aborts on drift
 #      unless ALLOW_DRIFT=1 acknowledges an intentional model change.
-#   2. Ensemble goldens from --repeats 3 --jobs 2 (fig2a, fig2b, fig5,
-#      fig6, fig8, fig9, fig10), regenerated from the base-verified build.
+#   2. Ensemble goldens from --repeats 3 --jobs 2 (fig2a, fig2b, fig5 with
+#      its Fig 8, fig6, the fig8 fault run, fig9, fig10), regenerated from
+#      the base-verified build.
 #
 # Flags here must match the test files exactly. `#` comment lines
 # (seed/jobs/wall_s) are stripped: wall-clock is outside the determinism
@@ -34,9 +36,11 @@ DRIFTED=0
 # Phase 1: base goldens, pinned to --repeats 1. Verify before replacing.
 # One bench invocation can own several goldens: arguments starting with
 # `--` are bench flags (consumed with their value), everything else is a
-# CSV the run produced. Benches that drive Campaign directly refuse
-# --jobs/--repeats, so they run on --scale/--seed alone.
+# CSV the run produced. Benches that drive Campaign directly (and fig12
+# outside --monitor) refuse --jobs/--repeats, so they run on
+# --scale/--seed alone.
 BASIC_BENCHES=" bench_fig3_fixed_circuit bench_fig4_fixed_guard bench_ablations "
+BASIC_BENCHES+="bench_fig12_snowflake_monitor "
 BASE_CSVS=()
 run_base() {
   local bench="$1"
@@ -67,11 +71,12 @@ run_base() {
 
 run_base bench_fig2a_website_curl fig2a_boxes.csv table10_means.csv
 run_base bench_fig2b_website_selenium fig2b_boxes.csv fig11_speed_index.csv
-run_base bench_fig5_file_download fig5_times.csv
+run_base bench_fig5_file_download fig5_times.csv fig8a_outcomes.csv \
+  fig8b_fraction_ecdf.csv
 run_base bench_fig6_ttfb fig6_ttfb_ecdf.csv
 run_base bench_fig7_location fig7_location.csv
 run_base bench_medium_change medium_change.csv
-run_base bench_fig8_reliability fig8a_outcomes.csv --faults paper --retries 1
+run_base bench_fig8_reliability fig8a_outcomes_faults.csv --retries 1
 run_base bench_fig9_overhead fig9_overhead.csv
 run_base bench_fig10_snowflake_load fig10a_timeline.csv fig10b_boxes.csv
 run_base bench_fig12_snowflake_monitor fig12_weekly.csv
@@ -122,10 +127,10 @@ run_ensemble bench_fig2a_website_curl fig2a_ensemble.csv \
 run_ensemble bench_fig2b_website_selenium fig2b_ensemble.csv \
   fig2b_ensemble_paired.csv
 run_ensemble bench_fig5_file_download fig5_ensemble.csv \
-  fig5_ensemble_paired.csv
+  fig5_ensemble_paired.csv fig8_ensemble.csv fig8_ensemble_paired.csv
 run_ensemble bench_fig6_ttfb fig6_ensemble.csv fig6_ensemble_paired.csv
-run_ensemble bench_fig8_reliability --faults paper --retries 1 \
-  fig8_ensemble.csv fig8_ensemble_paired.csv
+run_ensemble bench_fig8_reliability --retries 1 fig8_ensemble_faults.csv \
+  fig8_ensemble_faults_paired.csv
 run_ensemble bench_fig9_overhead fig9_ensemble.csv fig9_ensemble_paired.csv
 run_ensemble bench_fig10_snowflake_load fig10_ensemble.csv \
   fig10_ensemble_paired.csv
